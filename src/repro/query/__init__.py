@@ -6,8 +6,9 @@ The public surface of the query subsystem:
   adornments (``Query.parse("path(a, X)?")``).
 * :class:`~repro.query.engine.QueryEngine` — the serving facade: owns a
   database, an eval config, and per-program caches; routes each query
-  through the cheapest applicable tier (EDB filter, reachability
-  labels, magic-sets demand rewrite, full closure).
+  through the cheapest applicable tier (EDB filter, a closure the
+  engine already holds, reachability labels, magic-sets demand rewrite,
+  full closure).
 * :func:`~repro.query.engine.answer` — one-shot convenience.
 * :func:`~repro.query.magic.magic_rewrite` /
   :class:`~repro.query.magic.MagicProgram` — the demand rewrite itself.

@@ -8,18 +8,35 @@ routes each query through the cheapest applicable tier:
 
 ``edb``
     The predicate is a stored relation (no rules): filter it directly.
+``closure`` (held)
+    The engine already holds a dependency-valid closure of the
+    predicate — computed by an earlier ask, or primed from a maintained
+    result (always the case in a :class:`~repro.serve.LiveEngine`
+    snapshot): a ground query is one set-membership test on its rows.
 ``labels``
     The recursion is the transitive-closure shape over a stored edge
     relation and the query binds at least one position: answer from the
     :class:`~repro.query.labels.ReachabilityLabels` index in O(label)
     per lookup — no fixpoint at all.
+``closure`` (held, not ground)
+    A half-bound query probes a :class:`~repro.storage.index.HashIndex`
+    on its bound positions, built over the held closure on first use
+    and kept beside it; anything else filters the held rows.  Labels go
+    first because they answer a half-bound transitive-closure query in
+    O(answer) without a build over the whole closure.
 ``magic``
-    The query's bound positions survive stabilisation: run the
-    magic-sets demand rewrite (:mod:`repro.query.magic`) through the
-    unchanged fixpoint drivers, computing only the demanded fraction.
-``closure``
-    Fall back to the full fixpoint (cached per predicate), then filter —
-    the reference semantics every other tier is asserted against.
+    Nothing is held and the query's bound positions survive
+    stabilisation: run the magic-sets demand rewrite
+    (:mod:`repro.query.magic`) through the unchanged fixpoint drivers,
+    computing only the demanded fraction.
+``closure`` (computed)
+    Fall back to the full fixpoint (then held, see above) and answer
+    from it — the reference semantics every other tier is asserted
+    against.
+
+A held closure never runs a fixpoint, so a bound ask costs at most what
+the cheapest correct way of answering it costs.  :attr:`QueryEngine.served`
+counts the answers of each tier.
 
 Every tier returns **bit-identical** answers; ``strategy=`` can force a
 tier (raising :class:`~repro.exceptions.NotApplicableError` when its
@@ -40,7 +57,10 @@ serving an unrelated ``other_edge`` predicate keeps its warm caches.
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping, Optional, Union
 
 from repro.datalog.atoms import Predicate
@@ -49,11 +69,12 @@ from repro.datalog.terms import Variable
 from repro.engine.parallel import EvalConfig
 from repro.engine.seminaive import solve_linear_recursion
 from repro.engine.statistics import EvaluationStatistics
-from repro.exceptions import NotApplicableError
+from repro.exceptions import NotApplicableError, SchemaError
 from repro.query.labels import ReachabilityLabels, build_labels
 from repro.query.magic import MagicProgram, magic_rewrite
 from repro.query.query import Query
 from repro.storage.database import Database
+from repro.storage.index import HashIndex
 from repro.storage.relation import Relation, Row
 
 #: The strategy tiers, cheapest first.
@@ -68,6 +89,18 @@ def _deps_valid(deps: _Deps, database: Database) -> bool:
     """True while every recorded dependency is still the stored object."""
     relations = database.relations
     return all(relations.get(name) is relation for name, relation in deps)
+
+
+@dataclass
+class _HeldClosure:
+    """A cached closure, what it was computed from, and indexes over it."""
+
+    relation: Relation
+    deps: _Deps
+    #: Bound positions -> hash index over :attr:`relation`, built by the
+    #: first half-bound ask of that adornment.  Lives and dies with the
+    #: entry: the closure is immutable, so the indexes never go stale.
+    indexes: dict[tuple[int, ...], HashIndex] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -190,34 +223,54 @@ class QueryEngine:
         self._idb: frozenset[Predicate] = (
             program.idb_predicates if program is not None else frozenset()
         )
+        self._idb_arity = {p.name: p.arity for p in self._idb}
         #: Cached artefacts carry the stored relation objects they were
         #: computed from (``(name, relation-or-None)`` pairs), so
         #: validity is an identity generation check against the current
         #: database — both across :meth:`with_database` siblings and
         #: against in-place relation swaps on this engine's own
         #: database.
-        self._closures: dict[Predicate, tuple[Relation, _Deps]] = {}
+        self._closures: dict[Predicate, _HeldClosure] = {}
         self._magic: dict[tuple[Predicate, tuple[int, ...]], MagicProgram] = {}
         self._labels: dict[tuple[str, bool], tuple[ReachabilityLabels, _Deps]] = {}
         self._recursions: dict[Predicate, LinearRecursion] = {}
+        #: Answers per tier, plus ``magic_fallback``; shared with every
+        #: :meth:`with_database` sibling, hence the lock.
+        self._served: Counter[str] = Counter()
+        self._served_lock = threading.Lock()
+
+    @property
+    def served(self) -> Mapping[str, int]:
+        """Answers given so far, per tier (read-only, live).
+
+        Keys are the :data:`STRATEGIES` that have answered at least one
+        query, plus ``magic_fallback``: the ``closure`` answers that ran
+        the full fixpoint for a *bound* query because the demand rewrite
+        did not apply.  Counts carry across :meth:`with_database`
+        siblings, so a live engine's are for its whole lifetime.
+        """
+        return MappingProxyType(self._served)
 
     def with_database(self, database: Database) -> "QueryEngine":
         """A sibling engine over *database*, invalidated per relation.
 
-        The program, config, magic rewrites and recursion views carry
-        over wholesale (they depend only on the rules, not the facts).
-        Closures and label indexes carry over *per relation*: an entry
-        survives exactly when every stored relation it was computed
-        from is the same object in *database* — so updating ``edge``
-        keeps the warm closures and labels of predicates that never
-        read ``edge``.
+        The program, config, magic rewrites, recursion views and
+        :attr:`served` counts carry over wholesale (they depend only on
+        the rules, not the facts).  Closures (with the hash indexes
+        built over them) and label indexes carry over *per relation*:
+        an entry survives exactly when every stored relation it was
+        computed from is the same object in *database* — so updating
+        ``edge`` keeps the warm closures and labels of predicates that
+        never read ``edge``.
         """
         sibling = QueryEngine(database, self.program, self.config)
         sibling._magic = self._magic  # rule-only artefact, database-independent
         sibling._recursions = self._recursions  # likewise rule-only
-        for predicate, (closure, deps) in self._closures.items():
-            if _deps_valid(deps, database):
-                sibling._closures[predicate] = (closure, deps)
+        sibling._served = self._served
+        sibling._served_lock = self._served_lock
+        for predicate, held in self._closures.items():
+            if _deps_valid(held.deps, database):
+                sibling._closures[predicate] = held
         for label_key, (labels, deps) in self._labels.items():
             if _deps_valid(deps, database):
                 sibling._labels[label_key] = (labels, deps)
@@ -259,6 +312,27 @@ class QueryEngine:
             (name, self.database.relations.get(name)) for name in names
         )
 
+    def _held_closure(self, predicate: Predicate) -> Optional[_HeldClosure]:
+        """The cached closure entry of *predicate*, if still valid."""
+        held = self._closures.get(predicate)
+        if held is not None and _deps_valid(held.deps, self.database):
+            return held
+        return None
+
+    def _hold_closure(self, predicate: Predicate,
+                      statistics: Optional[EvaluationStatistics] = None
+                      ) -> _HeldClosure:
+        """The held closure of *predicate*, computing it if needed."""
+        held = self._held_closure(predicate)
+        if held is None:
+            relation = solve_linear_recursion(
+                self.recursion_of(predicate), self.database,
+                statistics, config=self.config,
+            )
+            held = self._closures[predicate] = _HeldClosure(
+                relation, self._closure_dependencies(predicate))
+        return held
+
     def closure(self, predicate: Predicate,
                 statistics: Optional[EvaluationStatistics] = None) -> Relation:
         """The full fixpoint of *predicate* (cached per engine).
@@ -268,32 +342,28 @@ class QueryEngine:
         since (and carried across :meth:`with_database` siblings while
         none of them has).
         """
-        entry = self._closures.get(predicate)
-        if entry is not None and _deps_valid(entry[1], self.database):
-            return entry[0]
-        cached = solve_linear_recursion(
-            self.recursion_of(predicate), self.database,
-            statistics, config=self.config,
-        )
-        self._closures[predicate] = (cached, self._closure_dependencies(predicate))
-        return cached
+        return self._hold_closure(predicate, statistics).relation
 
     def prime_closure(self, predicate: Predicate, closure: Relation) -> None:
         """Seed the closure cache with an externally maintained result.
 
         The serving layer (:mod:`repro.serve`) computes closures
-        incrementally; priming lets a snapshot's engine answer
-        ``closure``-tier queries from the maintained result without
-        ever running the cold fixpoint.  The entry records the current
-        stored dependencies, so it invalidates exactly like a computed
-        one.
+        incrementally; priming lets a snapshot's engine answer from the
+        maintained result without ever running a fixpoint.  The entry
+        records the current stored dependencies, so it invalidates
+        exactly like a computed one.  Priming builds nothing: an index
+        over the closure appears only when a half-bound ask wants it,
+        and re-priming the relation object already held keeps them.
         """
         if closure.arity != predicate.arity:
             raise NotApplicableError(
                 f"Cannot prime {predicate} with a relation of arity "
                 f"{closure.arity}"
             )
-        self._closures[predicate] = (closure, self._closure_dependencies(predicate))
+        held = self._held_closure(predicate)
+        if held is None or held.relation is not closure:
+            self._closures[predicate] = _HeldClosure(
+                closure, self._closure_dependencies(predicate))
 
     def magic_program(self, predicate: Predicate,
                       bound: tuple[int, ...]) -> MagicProgram:
@@ -329,15 +399,29 @@ class QueryEngine:
     # Planning
     # ------------------------------------------------------------------
 
+    def _resolve(self, query: Union[Query, str]) -> Query:
+        """Parse *query* if textual, and check it against the program."""
+        query = Query.parse(query) if isinstance(query, str) else query
+        if query.predicate not in self._idb and query.name in self._idb_arity:
+            raise SchemaError(
+                f"Predicate {query.name} has arity "
+                f"{self._idb_arity[query.name]}, expected {query.arity}"
+            )
+        return query
+
     def plan(self, query: Union[Query, str]) -> str:
         """The strategy :meth:`ask` would pick for *query* (no evaluation)."""
-        query = Query.parse(query) if isinstance(query, str) else query
+        return self._plan(self._resolve(query))
+
+    def _plan(self, query: Query) -> str:
         if query.predicate not in self._idb:
             return "edb"
-        recursion = self.recursion_of(query.predicate)
-        if self._labels_applicable(query, recursion):
+        held = self._held_closure(query.predicate) is not None
+        if held and query.is_ground():
+            return "closure"
+        if self._labels_applicable(query, self.recursion_of(query.predicate)):
             return "labels"
-        if query.bound_positions:
+        if query.bound_positions and not held:
             try:
                 self.magic_program(query.predicate, query.bound_positions)
                 return "magic"
@@ -371,15 +455,20 @@ class QueryEngine:
         preconditions fail — the parity harnesses use this to cross-check
         tiers against each other.
         """
-        query = Query.parse(query) if isinstance(query, str) else query
+        query = self._resolve(query)
         if strategy != "auto" and strategy not in STRATEGIES:
             raise ValueError(
                 f"Unknown strategy {strategy!r}; expected 'auto' or one of "
                 f"{STRATEGIES}"
             )
 
+        fallback = False
         if strategy == "auto":
-            strategy = self.plan(query)
+            strategy = self._plan(query)
+            # A bound query is planned onto a closure nobody holds only
+            # when neither labels nor the demand rewrite apply.
+            fallback = (strategy == "closure" and bool(query.bound_positions)
+                        and self._held_closure(query.predicate) is None)
         elif strategy == "edb":
             if query.predicate in self._idb:
                 raise NotApplicableError(
@@ -393,13 +482,36 @@ class QueryEngine:
         statistics = EvaluationStatistics()
         if strategy == "edb":
             stored = self.database.relation(query.name, query.arity)
-            return QueryAnswer(query, query.filter(stored), "edb", statistics)
-        if strategy == "labels":
-            return self._ask_labels(query, statistics)
-        if strategy == "magic":
-            return self._ask_magic(query, statistics)
-        relation = self.closure(query.predicate, statistics)
-        return QueryAnswer(query, query.filter(relation), "closure", statistics)
+            answer = QueryAnswer(query, query.filter(stored), "edb", statistics)
+        elif strategy == "labels":
+            answer = self._ask_labels(query, statistics)
+        elif strategy == "magic":
+            answer = self._ask_magic(query, statistics)
+        else:
+            answer = self._ask_closure(query, statistics)
+        with self._served_lock:
+            self._served[strategy] += 1
+            if fallback:
+                self._served["magic_fallback"] += 1
+        return answer
+
+    def _ask_closure(self, query: Query,
+                     statistics: EvaluationStatistics) -> QueryAnswer:
+        held = self._hold_closure(query.predicate, statistics)
+        relation = held.relation
+        if query.is_ground() or not query.bound_positions:
+            return QueryAnswer(query, query.filter(relation), "closure",
+                               statistics)
+        bound = query.bound_positions
+        index = held.indexes.get(bound)
+        if index is None:
+            index = held.indexes[bound] = HashIndex(relation, bound)
+        rows: Any = index.lookup(query.bound_values)
+        if query.repeated_groups:
+            rows = filter(query.matches, rows)
+        answers = Relation.from_canonical(
+            relation.name, relation.arity, frozenset(rows))
+        return QueryAnswer(query, answers, "closure", statistics)
 
     def _ask_labels(self, query: Query,
                     statistics: EvaluationStatistics) -> QueryAnswer:

@@ -41,13 +41,40 @@ positions ``B`` (after shrinking ``B`` to a *stable* bound set, see
   ordinary EDB relation — again an unchanged driver run, still linear
   in ``p``.
 
-Soundness: the magic rules include *every* nonrecursive atom of their
-source rule (equality atoms only when fully bindable), so the computed
-magic set is a superset of the true demand; the guarded program then
-derives exactly the original ``p``-facts whose ``B``-projection is in
-the magic set.  Answers filtered by the query are therefore identical —
-bit for bit — to filtering the full closure, which the parity tests and
-the differential fuzzer assert across all executors and backends.
+Connected sideways information passing
+---------------------------------------
+A magic rule keeps only the nonrecursive atoms that can pass bindings
+sideways.  Link a rule's nonrecursive atoms (equalities included)
+whenever they share a variable; a connected component is kept exactly
+when it holds a variable of the magic rule's own head (it binds a
+demanded argument of the recursive atom) or of its magic body atom (it
+is a semi-join filter on the incoming demand).  Every other component
+is dropped — joined in, it could only multiply each demand tuple by its
+own size, as a cross product.  :func:`_sideways` computes the kept
+atoms and the bindable variables together, so stabilisation and rule
+construction cannot disagree.
+
+This is the paper's Example 5.2 read as a demand rule.  In::
+
+    sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).
+
+the rule is the composite of two operators acting on disjoint argument
+positions, which therefore commute (Theorem 5.2); by separability
+(Section 4, Algorithm 4.1) a selection on ``X`` is carried by the
+``up`` operator alone.  The component rule finds the same split
+syntactically: ``down(V, Y)`` shares no variable with ``X`` or ``U``,
+so ``sg(a, Y)?`` demands ``m(U) :- m(X), up(X, U)`` — |demand| × the
+out-degree of ``up`` derivations, where joining ``down`` in costs
+|demand| × |``down``|.
+
+Soundness: a magic rule's body is a *subset* of the source rule's
+nonrecursive atoms, so every binding of the source rule's body still
+satisfies it and the computed magic set is a superset of the true
+demand; the guarded program then derives exactly the original
+``p``-facts whose ``B``-projection is in the magic set.  Answers
+filtered by the query are therefore identical — bit for bit — to
+filtering the full closure, which the parity tests and the differential
+fuzzer assert across all executors and backends.
 """
 
 from __future__ import annotations
@@ -58,7 +85,7 @@ from typing import Any, Iterable, Optional, Sequence
 from repro.datalog.atoms import Atom, Predicate
 from repro.datalog.programs import LinearRecursion
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Constant, Term, Variable
 from repro.engine.parallel import EvalConfig
 from repro.engine.seminaive import evaluate_exit_rules, seminaive_closure
 from repro.engine.statistics import EvaluationStatistics
@@ -67,26 +94,52 @@ from repro.storage.database import Database
 from repro.storage.relation import Relation
 
 
-def _bindable_variables(rule: Rule, bound_positions: Iterable[int]) -> set[Variable]:
-    """Variables of *rule* bindable during sideways demand propagation.
+def _bound_arguments(atom: Atom, bound_positions: Iterable[int]) -> tuple[Term, ...]:
+    """The arguments of *atom* at *bound_positions* (the magic atom's)."""
+    return tuple(atom.arguments[position] for position in bound_positions)
 
-    Bindable are: head variables at bound positions, every variable of a
-    non-equality nonrecursive atom (EDB scans are finite and self-
-    binding), and — propagated to a fixpoint — variables equated to a
-    bindable variable or to a constant through equality atoms.
+
+def _sideways(rule: Rule, bound_positions: Sequence[int]
+              ) -> tuple[tuple[Atom, ...], set[Variable]]:
+    """The atoms of *rule* that pass bindings sideways, and what they bind.
+
+    Returns ``(kept, bindable)``.  *kept* is the body of the magic rule
+    minus its magic atom: the nonrecursive atoms in variable-connected
+    components that reach a bound argument of the head or of the
+    recursive atom, in rule order.  *bindable* is every variable demand
+    propagation can bind: head variables at bound positions, every
+    variable of a kept non-equality atom (EDB scans are finite and
+    self-binding), and — propagated to a fixpoint — variables equated
+    to a bindable variable or to a constant through a kept equality
+    atom.  Once the bound positions are stable every reached variable is
+    bindable, so every kept equality atom is fully bound.
     """
-    bindable: set[Variable] = set()
-    head = rule.head
-    for position in bound_positions:
-        term = head.arguments[position]
-        if isinstance(term, Variable):
-            bindable.add(term)
+    bindable = {
+        term for term in _bound_arguments(rule.head, bound_positions)
+        if isinstance(term, Variable)
+    }
+    reached = bindable | {
+        term for term in _bound_arguments(rule.recursive_atoms()[0],
+                                          bound_positions)
+        if isinstance(term, Variable)
+    }
+    atoms = rule.nonrecursive_atoms()
+    connected: set[int] = set()
+    changed = True
+    while changed:
+        changed = False
+        for index, atom in enumerate(atoms):
+            if index not in connected and not reached.isdisjoint(atom.variables()):
+                reached.update(atom.variables())
+                connected.add(index)
+                changed = True
+
     equalities: list[Atom] = []
-    for atom in rule.nonrecursive_atoms():
-        if atom.is_equality():
-            equalities.append(atom)
+    for index in connected:
+        if atoms[index].is_equality():
+            equalities.append(atoms[index])
         else:
-            bindable.update(atom.variables())
+            bindable.update(atoms[index].variables())
     changed = True
     while changed:
         changed = False
@@ -100,7 +153,8 @@ def _bindable_variables(rule: Rule, bound_positions: Iterable[int]) -> set[Varia
             if right_known and isinstance(left, Variable) and left not in bindable:
                 bindable.add(left)
                 changed = True
-    return bindable
+    kept = tuple(atoms[index] for index in sorted(connected))
+    return kept, bindable
 
 
 def stable_bound_positions(recursion: LinearRecursion,
@@ -109,8 +163,7 @@ def stable_bound_positions(recursion: LinearRecursion,
 
     A bound set ``B`` is *stable* when, for every recursive rule, each
     position of the recursive body atom in ``B`` holds a constant or a
-    variable bindable by sideways propagation
-    (:func:`_bindable_variables`).  Stability guarantees every magic
+    variable bindable by sideways propagation (:func:`_sideways`).  Stability guarantees every magic
     rule is range-restricted and that one adorned version of the
     predicate suffices — keeping the rewritten program in the
     single-predicate linear shape the drivers evaluate.
@@ -126,7 +179,7 @@ def stable_bound_positions(recursion: LinearRecursion,
         changed = False
         for rule in recursion.recursive_rules:
             recursive_atom = rule.recursive_atoms()[0]
-            bindable = _bindable_variables(rule, sorted(positions))
+            _, bindable = _sideways(rule, sorted(positions))
             for position in sorted(positions):
                 term = recursive_atom.arguments[position]
                 if isinstance(term, Variable) and term not in bindable:
@@ -293,26 +346,13 @@ def magic_rewrite(recursion: LinearRecursion,
     )
 
     def magic_atom(source: Atom) -> Atom:
-        return Atom(
-            magic_predicate,
-            tuple(source.arguments[position] for position in bound_positions),
-        )
+        return Atom(magic_predicate, _bound_arguments(source, bound_positions))
 
-    magic_rules = []
-    for rule in recursion.recursive_rules:
-        recursive_atom = rule.recursive_atoms()[0]
-        bindable = _bindable_variables(rule, bound_positions)
-        body: list[Atom] = [magic_atom(rule.head)]
-        for atom in rule.nonrecursive_atoms():
-            if atom.is_equality():
-                # An equality atom joins the demand propagation only
-                # when fully bindable; dropping it merely widens the
-                # magic set (still a superset of the true demand).
-                if all(variable in bindable for variable in atom.variables()):
-                    body.append(atom)
-            else:
-                body.append(atom)
-        magic_rules.append(Rule(magic_atom(recursive_atom), tuple(body)))
+    magic_rules = tuple(
+        Rule(magic_atom(rule.recursive_atoms()[0]),
+             (magic_atom(rule.head), *_sideways(rule, bound_positions)[0]))
+        for rule in recursion.recursive_rules
+    )
 
     guarded_recursive = tuple(
         Rule(rule.head, (magic_atom(rule.head), *rule.body))
@@ -324,5 +364,5 @@ def magic_rewrite(recursion: LinearRecursion,
     )
     return MagicProgram(
         recursion.predicate, bound_positions, magic_predicate,
-        tuple(magic_rules), guarded_recursive, guarded_exit,
+        magic_rules, guarded_recursive, guarded_exit,
     )

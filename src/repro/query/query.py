@@ -171,13 +171,18 @@ class Query:
 
         This is the reference ``full-closure-then-filter`` semantics the
         demand-rewritten and label-index paths are asserted against.
+        A ground query is one membership test, never a scan.
         """
         if self.is_full():
             return relation
-        return Relation.from_canonical(
-            relation.name, relation.arity,
-            frozenset(row for row in relation.rows if self.matches(row)),
-        )
+        rows: frozenset[Row]
+        if self.is_ground():
+            row = self.bound_values
+            rows = frozenset((row,)) if row in relation.rows else frozenset()
+        else:
+            rows = frozenset(
+                row for row in relation.rows if self.matches(row))
+        return Relation.from_canonical(relation.name, relation.arity, rows)
 
     def bindings(self, rows: Any) -> Iterator[Mapping[str, Any]]:
         """Yield one ``{variable name: value}`` mapping per answer row."""

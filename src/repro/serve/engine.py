@@ -375,6 +375,13 @@ class LiveEngine:
             return state.recovery
         return None
 
+    @property
+    def served(self) -> Mapping[str, int]:
+        """Answers per tier over this engine's lifetime, beside
+        :attr:`health` (see :attr:`repro.query.QueryEngine.served`; the
+        counts carry from each generation's query engine to the next)."""
+        return self._require_snapshot().engine.served
+
     def _require_snapshot(self) -> Snapshot:
         if self._snapshot is None:
             raise RuntimeError(
@@ -486,8 +493,11 @@ class LiveEngine:
         generation's via :meth:`QueryEngine.with_database`, so warm
         artefacts (label indexes, demand rewrites) survive exactly when
         their per-relation dependencies were untouched by the commit;
-        the maintained closures are primed directly, so closure-tier
-        reads never recompute.
+        the maintained closures are primed directly, so every snapshot
+        holds its closures and asks are served from them (membership,
+        or a hash index built by the first half-bound ask) without a
+        fixpoint.  Priming builds nothing, so commits pay nothing for
+        it.
         """
         state = self._state
         assert state is not None

@@ -20,6 +20,7 @@ from repro.datalog.programs import LinearRecursion
 from repro.datalog.terms import Constant, Variable
 from repro.engine.parallel import EvalConfig
 from repro.engine.seminaive import seminaive_closure
+from repro.engine.statistics import EvaluationStatistics
 from repro.exceptions import (
     DatalogSyntaxError,
     NotApplicableError,
@@ -83,6 +84,26 @@ def tc_engine(edges, program: str = TC_LEFT, config=None) -> QueryEngine:
     return QueryEngine(database, program, config=config)
 
 
+SAME_GENERATION = (
+    "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n"
+    "sg(X, Y) :- flat(X, Y)."
+)
+
+
+def same_generation_database(layers: int, width: int) -> Database:
+    """up/down layered DAGs meeting in a flat top layer (node 0 at the bottom)."""
+    rng = random.Random(11)
+    up = layered_dag_edges(layers, width, fanout=2, name="up", rng=rng)
+    mirror = layered_dag_edges(layers, width, fanout=2, name="down", rng=rng)
+    top = range((layers - 1) * width, layers * width)
+    return Database.of(
+        up,
+        Relation.of("down", 2, [(low, high) for high, low in mirror.rows]),
+        Relation.of("flat", 2, [(left, right) for left in top for right in top
+                                if left == right or rng.random() < 0.25]),
+    )
+
+
 CYCLIC_EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b"),
                 ("d", "e"), ("f", "f")]
 
@@ -137,6 +158,18 @@ class TestQuery:
         assert Query.of("p", 1, None).filter(relation).rows == {(1, 1), (1, 2)}
         assert Query.parse("p(X, X)?").filter(relation).rows == {(1, 1), (2, 2)}
         assert Query.parse("p(X, Y)?").filter(relation) is relation
+
+    def test_ground_filter_is_a_membership_test(self):
+        class NoScan(frozenset):
+            def __iter__(self):
+                raise AssertionError("a ground filter must not scan")
+
+        relation = Relation.of("p", 2, [(i, i + 1) for i in range(1000)])
+        object.__setattr__(relation, "rows", NoScan(relation.rows))
+        assert Query.parse("p(7, 8)?").filter(relation).rows == {(7, 8)}
+        assert Query.parse("p(7, 9)?").filter(relation).rows == frozenset()
+        with pytest.raises(AssertionError):
+            Query.parse("p(7, X)?").filter(relation)
 
     def test_bindings(self):
         query = Query.parse("p(a, X, Y)?")
@@ -247,6 +280,69 @@ class TestMagicRewrite:
         query = Query.parse("path(a, X)?")
         reference = query.filter(engine.closure(query.predicate))
         assert engine.ask(query, strategy="magic").relation.rows == reference.rows
+
+    def test_same_generation_demand_ignores_the_disconnected_side(self):
+        recursion = self.recursion(SAME_GENERATION, "sg")
+        forward = magic_rewrite(recursion, (0,))
+        backward = magic_rewrite(recursion, (1,))
+        assert [str(rule) for rule in forward.magic_rules] == [
+            "magic_sg_bf(U) :- magic_sg_bf(X), up(X, U)."]
+        assert [str(rule) for rule in backward.magic_rules] == [
+            "magic_sg_fb(V) :- magic_sg_fb(Y), down(V, Y)."]
+        # A ground query demands through both sides at once.
+        (both,) = magic_rewrite(recursion, (0, 1)).magic_rules
+        assert {atom.predicate.name for atom in both.body[1:]} == {"up", "down"}
+
+        database = same_generation_database(8, 8)
+        up = database.relation("up")
+        fan_out = max(
+            sum(1 for row in up.rows if row[0] == node)
+            for node in up.column_values(0))
+        statistics = EvaluationStatistics()
+        demand = forward.magic_closure((0,), database, statistics)
+        assert len(demand.rows) > 8
+        assert statistics.derivations <= len(demand.rows) * fan_out
+
+    @pytest.mark.parametrize("text", ["p(1, Y)?", "p(X, 7)?", "p(1, 7)?"])
+    def test_bound_only_by_a_disconnected_scan(self, text):
+        # Z reaches the recursive atom from e alone: the magic rule must
+        # keep e(Z) to stay range-restricted (and f(X) as a filter).
+        program = (
+            "p(X, Y) :- e(Z), p(Z, Y), f(X).\n"
+            "p(X, Y) :- b(X, Y)."
+        )
+        (rule,) = magic_rewrite(self.recursion(program, "p"), (0,)).magic_rules
+        assert str(rule) == "magic_p_bf(Z) :- magic_p_bf(X), e(Z), f(X)."
+        assert set(rule.head.variables()) <= {
+            variable for atom in rule.body for variable in atom.variables()}
+        database = Database.of(
+            Relation.of("e", 1, [(2,), (3,)]),
+            Relation.of("f", 1, [(1,), (2,)]),
+            Relation.of("b", 2, [(2, 7), (3, 8), (4, 9)]),
+        )
+        engine = QueryEngine(database, program)
+        query = Query.parse(text)
+        reference = query.filter(solve(program, database, "p"))
+        for strategy in ("magic", "auto", "closure"):
+            assert engine.ask(query, strategy=strategy).rows == reference.rows
+
+    @pytest.mark.parametrize("down", [
+        Relation.empty("down", 2), None], ids=["empty", "absent"])
+    def test_dropped_relation_empty_or_absent(self, down):
+        # Without down no recursive derivation exists at all; the demand
+        # set no longer notices, and the answers must not either.
+        full = same_generation_database(5, 4)
+        relations = [full.relation("up"), full.relation("flat")]
+        database = Database.of(*relations, *([] if down is None else [down]))
+        engine = QueryEngine(database, SAME_GENERATION)
+        flat = full.relation("flat")
+        for row in sorted(flat.rows)[:3]:
+            for query in (Query.of("sg", row[0], None),
+                          Query.of("sg", None, row[1]),
+                          Query.of("sg", *row)):
+                answer = engine.ask(query, strategy="magic")
+                assert answer.rows == query.filter(flat).rows
+                assert answer.rows == engine.ask(query, strategy="closure").rows
 
     def test_seed_arity_checked(self):
         magic = magic_rewrite(self.recursion(TC_LEFT), (0,))
@@ -472,6 +568,117 @@ class TestQueryEngine:
         after = engine.closure(Predicate("path", 2))
         assert after is not before
         assert after.rows == {("a", "b")}
+
+    def test_held_closure_serves_bound_asks_without_a_fixpoint(self):
+        database = same_generation_database(6, 5)
+        closure = solve(SAME_GENERATION, database, "sg")
+        primed = QueryEngine(database, SAME_GENERATION)
+        primed.prime_closure(Predicate("sg", 2), closure)
+        asked = QueryEngine(database, SAME_GENERATION)
+        assert asked.plan("sg(0, Y)?") == "magic"
+        asked.ask("sg(X, Y)?")
+        row = min(closure.rows)
+        queries = [Query.of("sg", *row), Query.of("sg", row[0], -1),
+                   Query.of("sg", row[0], None), Query.of("sg", None, row[1])]
+        for engine in (primed, asked):
+            for query in queries:
+                assert engine.plan(query) == "closure"
+                answer = engine.ask(query)
+                assert answer.strategy == "closure"
+                assert answer.statistics.iterations == 0
+                assert answer.statistics.derivations == 0
+                assert answer.rows == engine.ask(query, strategy="magic").rows
+                assert answer.rows == query.filter(closure).rows
+            (held,) = engine._closures.values()
+            assert set(held.indexes) == {(0,), (1,)}
+        # A repeated variable filters the index bucket.
+        wide = QueryEngine(
+            Database.of(Relation.of("s", 3, [(1, 2, 2), (1, 2, 3), (2, 5, 5)])),
+            "t(A, X, Y) :- s(A, X, Z), t(A, Z, Y).\n"
+            "t(A, X, Y) :- s(A, X, Y).")
+        wide.ask("t(A, X, Y)?")
+        answer = wide.ask("t(1, X, X)?")
+        assert answer.strategy == "closure"
+        assert answer.rows == {(1, 2, 2)}
+        assert answer.rows == wide.ask("t(1, X, X)?", strategy="magic").rows
+
+    def test_labels_stay_ahead_of_the_closure_index(self):
+        engine = tc_engine(CYCLIC_EDGES)
+        engine.ask("path(X, Y)?")
+        assert engine.plan("path(a, e)?") == "closure"  # one membership test
+        assert engine.ask("path(a, X)?").strategy == "labels"
+        assert engine.ask("path(X, e)?").strategy == "labels"
+        (held,) = engine._closures.values()
+        assert not held.indexes
+
+    def test_closure_index_lives_and_dies_with_the_closure(self):
+        program = SAME_GENERATION + (
+            "\nhop(X, Y) :- other(X, Z), hop(Z, Y), mark(X).\n"
+            "hop(X, Y) :- other(X, Y).")
+        base = same_generation_database(4, 4)
+        database = Database.of(
+            *base, Relation.of("other", 2, [(1, 2), (2, 3)]),
+            Relation.of("mark", 1, [(1,), (2,)]))
+        engine = QueryEngine(database, program)
+        for name in ("sg", "hop"):
+            engine.closure(Predicate(name, 2))
+        engine.ask("sg(0, Y)?")
+        engine.ask("hop(1, Y)?")
+        sg_held = engine._closures[Predicate("sg", 2)]
+        hop_held = engine._closures[Predicate("hop", 2)]
+        assert set(sg_held.indexes) == set(hop_held.indexes) == {(0,)}
+
+        sibling = engine.with_database(database.with_relation(
+            Relation.of("other", 2, [(1, 2)])))
+        assert sibling._closures == {Predicate("sg", 2): sg_held}
+        assert sibling.ask("sg(0, Y)?").rows == engine.ask("sg(0, Y)?").rows
+        assert sibling.plan("hop(1, Y)?") == "magic"
+        assert sibling.ask("hop(1, Y)?").rows == {(1, 2)}
+        # Re-priming the relation already held keeps its indexes; a new
+        # relation starts without any.
+        sibling.prime_closure(Predicate("sg", 2), sg_held.relation)
+        assert sibling._closures[Predicate("sg", 2)] is sg_held
+        sibling.prime_closure(
+            Predicate("sg", 2), Relation.of("sg", 2, sg_held.relation.rows))
+        assert not sibling._closures[Predicate("sg", 2)].indexes
+
+    def test_arity_mismatch_raises_instead_of_answering_empty(self):
+        engine = QueryEngine(same_generation_database(3, 3), SAME_GENERATION)
+        for call in (engine.ask, engine.plan):
+            with pytest.raises(SchemaError, match="sg has arity 2, expected 1"):
+                call("sg(1)?")
+        with pytest.raises(SchemaError):
+            engine.ask("sg(1, 2, 3)?", strategy="closure")
+        # The stored case always raised; it must keep doing so.
+        with pytest.raises(SchemaError, match="up has arity 2, expected 1"):
+            engine.ask("up(1)?")
+
+    def test_served_counts_tiers_and_fallbacks(self):
+        engine = tc_engine(CYCLIC_EDGES)
+        assert dict(engine.served) == {}
+        engine.ask("edge(a, X)?")
+        engine.ask("path(a, X)?")
+        engine.ask("path(a, X)?", strategy="magic")
+        engine.ask("path(X, Y)?")
+        engine.ask("path(a, e)?")
+        assert dict(engine.served) == {
+            "edb": 1, "labels": 1, "magic": 1, "closure": 2}
+        with pytest.raises(TypeError):
+            engine.served["edb"] = 0
+        sibling = engine.with_database(engine.database)
+        sibling.ask("edge(a, X)?")
+        assert engine.served["edb"] == sibling.served["edb"] == 2
+
+        # No stable bound position: the demand rewrite does not apply.
+        unrestricted = QueryEngine(
+            Database.of(Relation.of("edge", 2, CYCLIC_EDGES)),
+            "path(X, Y) :- path(Z, Y), edge(X, W).\n"
+            "path(X, Y) :- edge(X, Y).")
+        unrestricted.ask("path(a, X)?")
+        assert dict(unrestricted.served) == {"closure": 1, "magic_fallback": 1}
+        unrestricted.ask("path(a, X)?")  # held now: not a fallback
+        unrestricted.ask("path(X, Y)?")
+        assert dict(unrestricted.served) == {"closure": 3, "magic_fallback": 1}
 
     def test_no_program_edb_only(self):
         engine = QueryEngine(Database.of(Relation.of("e", 2, [(1, 2)])))

@@ -209,6 +209,35 @@ class TestCommits:
         run(scenario())
 
 
+class TestServedTiers:
+    def test_snapshot_asks_come_from_the_maintained_closure(self):
+        sg = (
+            "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n"
+            "sg(X, Y) :- flat(X, Y)."
+        )
+        database = Database.of(
+            Relation.of("up", 2, [(1, 3), (2, 3)]),
+            Relation.of("down", 2, [(3, 1), (3, 2)]),
+            Relation.of("flat", 2, [(3, 3)]),
+        )
+
+        async def scenario():
+            engine = await LiveEngine(sg, database).start()
+            for text in ("sg(1, 2)?", "sg(1, 9)?", "sg(1, Y)?"):
+                answer = engine.ask(text)
+                assert answer.strategy == "closure"
+                assert answer.statistics.iterations == 0
+                assert answer.rows == engine.ask(text, strategy="magic").rows
+            async with engine.transaction() as session:
+                session.insert("up", (4, 3))
+            assert engine.ask("sg(4, Y)?").rows == {(4, 1), (4, 2)}
+            # Counted across generations, beside the health counters.
+            assert dict(engine.served) == {"closure": 4, "magic": 3}
+            assert engine.health.recovery_actions() == 0
+
+        run(scenario())
+
+
 class TestSubscriptions:
     def test_subscription_receives_changes(self):
         async def scenario():
