@@ -1,7 +1,7 @@
 """Bench-regression gate: compare a fresh BENCH report against a baseline.
 
-Both files are reports produced by ``bench_compiled.py`` or
-``bench_parallel.py`` (a JSON object with a ``results`` list).  Result
+Both files are reports produced by one of the ``bench_*.py`` scripts
+beside this file (a JSON object with a ``results`` list).  Result
 entries are matched across files by their size key (``size`` or
 ``layers``), and every recorded timing series — any numeric field ending
 in ``_seconds`` — is compared.  Series or entries present only in the
@@ -34,8 +34,8 @@ Speedup floors
 
 ``--speedup-floor FIELD:MIN`` (repeatable) additionally gates recorded
 speedup fields of the *current* report — e.g.
-``--speedup-floor tc512_speedup_processes:1.02`` fails unless the
-packed shared-memory process backend beat the serial packed closure.
+``--speedup-floor tc_speedup:1.05`` fails unless the report's
+``tc_speedup`` field reached 1.05.
 Floors detect the machine with ``os.cpu_count()`` instead of assuming a
 single-CPU runner: they are enforced only when both this machine and
 the benchmark run that produced the report (its recorded ``cpu_count``)

@@ -16,15 +16,14 @@ each program to fixpoint through four independent engines:
   which on this serial path runs the whole closure in packed-id space).
 
 With ``--backend-seeds N``, the first ``N`` seeds of the range
-additionally sweep the **backend** axis: every executor runs on the
-``threads`` and ``processes`` scheduling backends (including the packed
-shared-memory exchange of the interned × processes combination, and the
-legacy pickled exchange behind ``shared_memory=False``), so the
-parallel merge accounting — per-worker ``total - |fresh|`` reduction,
-striped thread sinks, shm delta/result buffers — is differentially
-fuzzed against the same reference signatures, not just the serial
-executors.  Backend sweeps spawn a worker pool per configuration, so CI
-applies them to a subset of the nightly seeds.
+additionally sweep the **backend** axis: the interned executor — the
+only mode with a parallel form — runs on the ``threads`` and
+``processes`` backends, so the parallel merge accounting — per-worker
+``total - |fresh|`` reduction, striped thread sinks, shm delta/result
+buffers — is differentially fuzzed against the same reference
+signatures, not just the serial executors.  Backend sweeps spawn a
+worker pool per configuration, so CI applies them to a subset of the
+nightly seeds.
 
 With ``--query-seeds N``, the first ``N`` seeds additionally fuzz the
 query tier: for random bound/free adornments of the recursive
@@ -597,28 +596,16 @@ def check_wal(rules: tuple[Rule, ...], database: Database,
     return mismatches
 
 
-#: The parallel sweep: every executor on both parallel backends, plus
-#: the interned × processes pair through the legacy pickled exchange
-#: (``shared_memory=False``) so both process wire formats stay covered.
+#: The parallel sweep: the packed closure on both parallel backends.
 #: Low worker counts keep per-seed pool start-up bounded; partitions=3
 #: forces real delta splits even on tiny deltas.
 def _parallel_sweep_configs() -> tuple[tuple[str, EvalConfig], ...]:
-    configs = []
-    for executor in ("rows", "batch", "interned"):
-        for backend in ("threads", "processes"):
-            configs.append((
-                f"{executor}-{backend}",
-                EvalConfig(executor="batch" if executor == "interned" else executor,
-                           intern=executor == "interned",
-                           backend=backend, max_workers=2, partitions=3,
-                           min_partition_rows=2),
-            ))
-    configs.append((
-        "interned-processes-pickled",
-        EvalConfig(executor="batch", intern=True, backend="processes",
-                   max_workers=2, partitions=3, shared_memory=False),
-    ))
-    return tuple(configs)
+    return tuple(
+        (f"interned-{backend}",
+         EvalConfig(executor="batch", intern=True, backend=backend,
+                    max_workers=2, partitions=3, min_partition_rows=2))
+        for backend in ("threads", "processes")
+    )
 
 
 #: The chaos sweep: the interned executor on both parallel backends
@@ -730,10 +717,10 @@ def main(argv=None) -> int:
     parser.add_argument("--base-seed", type=int, default=0,
                         help="first seed of the range (default 0)")
     parser.add_argument("--backend-seeds", type=int, default=0,
-                        help="additionally sweep every executor over the "
-                             "threads/processes backends (incl. the packed "
-                             "shared-memory exchange) on the first N seeds "
-                             "of the range (default 0: serial only)")
+                        help="additionally run the interned executor on "
+                             "the threads/processes backends (striped sink, "
+                             "packed shared-memory exchange) on the first N "
+                             "seeds of the range (default 0: serial only)")
     parser.add_argument("--fault-seeds", type=int, default=0,
                         help="additionally run the interned executor on both "
                              "parallel backends under a deterministic "
@@ -794,7 +781,7 @@ def main(argv=None) -> int:
                                    health_sink=chaos_runs)
         if args.verbose or not ok:
             status = "ok  " if ok else "FAIL"
-            matrix = " [executor x backend matrix]" if sweep else ""
+            matrix = " [backend sweep]" if sweep else ""
             matrix += " [query parity]" if queries else ""
             matrix += " [ivm parity]" if ivm else ""
             matrix += " [wal crash-recovery parity]" if wal else ""
@@ -834,7 +821,7 @@ def main(argv=None) -> int:
         )
         return 1
     matrix_note = (
-        f"; executor x backend matrix on the first {swept}"
+        f"; interned on threads/processes on the first {swept}"
         if swept else ""
     )
     ivm_note = (

@@ -26,11 +26,11 @@ The engine provides:
   over dictionary-encoded ids — ``array('q')`` columns, int-keyed
   payload probes and packed-integer head emission
   (``EvalConfig(executor="batch", intern=True)``);
-* :mod:`repro.engine.parallel` — batched per-iteration execution of the
-  compiled plans under an :class:`~repro.engine.parallel.EvalConfig`
-  (executor ``rows``/``batch`` × backend ``serial``/``threads``/
-  ``processes``), with delta partitioning and statistics-preserving
-  merge;
+* :mod:`repro.engine.parallel` — per-iteration execution of the
+  compiled plans under an :class:`~repro.engine.parallel.EvalConfig`:
+  the serial ``rows``/``batch`` loop, and the packed-id closure
+  (``interned`` × backend ``serial``/``threads``/``processes``) with
+  delta partitioning and a statistics-preserving Counter-free merge;
 * :mod:`repro.engine.supervision` — the fault-tolerance layer around the
   parallel backends: per-task deadlines and bounded retries, worker-pool
   rebuilds after crashes, and the graceful-degradation ladder

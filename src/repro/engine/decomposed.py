@@ -38,12 +38,12 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
     Each phase contributes a labelled sub-statistics entry to
     *statistics* (``phase-1`` is the first phase executed).  *config*
     (:class:`repro.engine.parallel.EvalConfig`) is forwarded to every
-    phase's semi-naive closure, so the per-rule executor
-    (``rows``/``batch``, optionally interned via ``intern=True``) and
-    the scheduling backend apply to all phases; all phases share one
-    database and therefore one value-interning domain.  Interned
-    configurations run each phase as a packed-id closure on every
-    backend (shared-memory delta exchange on ``processes``).
+    phase's semi-naive closure, so the mode
+    (``rows``/``batch``/``interned``) and the backend apply to all
+    phases; all phases share one database and therefore one
+    value-interning domain.  Interned configurations run each phase as
+    a packed-id closure on every backend (shared-memory delta exchange
+    on ``processes``).
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     statistics.initial_size = len(initial)

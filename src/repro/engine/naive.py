@@ -37,9 +37,9 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
     Head-predicate validation happens once up front (consistent with
     :func:`repro.engine.seminaive.seminaive_closure`), not per iteration.
     Rules are compiled once and re-executed against the growing total;
-    *config* (:class:`repro.engine.parallel.EvalConfig`) selects both the
-    per-rule executor (``rows``/``batch``) and the backend each
-    iteration's rule batch is scheduled on.
+    *config* (:class:`repro.engine.parallel.EvalConfig`) selects the
+    mode (``rows``/``batch``/``interned``) and, for ``interned``, the
+    backend each iteration's total is split across.
     """
     rules = tuple(rules)
     statistics = statistics if statistics is not None else EvaluationStatistics()
@@ -92,9 +92,8 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
         total = initial
         for _ in range(max_iterations):
             statistics.iterations += 1
-            produced: set = set()
             pairs = evaluator.execute_batch({predicate_name: total}, statistics)
-            record_collapsed_productions(pairs, builder, produced, statistics)
+            produced = record_collapsed_productions(pairs, builder, statistics)
             new_rows = builder.add_all_new(produced)
             if not new_rows:
                 statistics.result_size = len(total)

@@ -1,118 +1,85 @@
-"""Parallel batched execution of compiled rule plans.
+"""Per-iteration execution of compiled rule plans, serial and parallel.
 
 The fixpoint drivers (:mod:`repro.engine.seminaive`,
 :mod:`repro.engine.naive`, and through them ``decomposed``/``separable``)
 apply every rule of a stratum to the current delta once per iteration.
 Those applications are mutually independent: each reads the immutable
-EDB plus the iteration's override relations and emits a multiset of head
-tuples, and the driver merges the emissions afterwards.  This module
-batches one iteration's rule applications into *tasks* and runs them
-through a pluggable executor.
+EDB plus the iteration's delta and emits a multiset of head tuples, and
+the driver merges the emissions afterwards.  Theorem 3.1 makes the
+derivation/duplicate accounting of that merge order- and
+partition-independent, which is the one fact every path here relies on.
 
-Partitioning
-------------
+Modes and backends
+------------------
 
-Two sources of parallelism are exploited:
+:class:`EvalConfig` selects a **mode** — how one rule application runs —
+and a **backend** — where an iteration's applications run.
 
-* **Inter-rule** — rule applications only read shared state, so rules
-  are freely distributable; rules whose body atoms touch disjoint
-  override (delta) relations in particular end up in distinct task
-  groups and run concurrently.
-* **Intra-rule** — a rule whose body references an override relation
-  exactly *once* (every linear recursive rule does) can have that
-  override hash-partitioned by row: each derivation consumes exactly one
-  delta row, so the emission multiset of the whole delta is the disjoint
-  union of the emission multisets of the parts.  All rules splitting on
-  the same delta are grouped into one task per partition (each
-  partition's rows cross the executor boundary once, not once per
-  rule).  Rules that mention a delta relation more than once are never
-  partitioned (a derivation could pair rows from different parts); they
-  run as their own unpartitioned tasks.
+``rows`` / ``batch`` (serial only)
+    The slot executor (:meth:`~repro.engine.plan.CompiledRule.execute`)
+    and the column-oriented executor
+    (:func:`repro.engine.vectorized.execute_batch`) run every plan
+    in-process through :meth:`ParallelEvaluator.execute_batch` and hand
+    the driver collapsed ``(row, multiplicity)`` pairs
+    (:func:`record_collapsed_productions` accounts them).  They have no
+    parallel form: shipping value rows to workers and merging
+    ``(row, multiplicity)`` pairs back lost to the same executor run
+    serially, and to the packed exchange on the same backend, on every
+    measured workload (numbers in ``src/repro/engine/README.md``), so a
+    parallel backend without ``intern`` is rejected rather than run on
+    a slower engine.
+``interned`` (``serial`` | ``threads`` | ``processes``)
+    :class:`PackedClosure` keeps the whole fixpoint in packed integer
+    ids and decodes once at the end.  This is the only thing "a
+    parallel backend" means.
 
-Merge semantics
----------------
-
-Tasks return their emissions collapsed into ``(row, multiplicity)``
-pairs plus private :class:`~repro.engine.statistics.JoinCounters`; the
-parent concatenates the pairs in deterministic task order and folds the
-counters.  Derivation/duplicate accounting (Theorem 3.1's |E|) is
-performed by the *driver* on the merged multiset and is order- and
-partition-independent: for a tuple emitted ``k`` times in one iteration,
-exactly ``k`` derivations and either ``k`` or ``k - 1`` duplicates are
-recorded depending only on whether the tuple was already known.  The
-result relations and the derivation/duplicate statistics are therefore
-identical to the serial compiled path on every workload.  (Low-level
-probe counters can differ from serial only when a partitioned rule scans
-EDB atoms *before* its delta atom, in which case the prefix work is
-repeated per part; the engines compile delta-first plans for every
-scenario in the suite, so in practice even those match.)
-
-Executors and backends
+The packed-id exchange
 ----------------------
 
-:class:`EvalConfig` exposes two orthogonal knobs.  The **executor**
-(``rows`` | ``batch``) selects how a single rule application runs: the
-slot executor (:meth:`~repro.engine.plan.CompiledRule.execute`) or the
-column-oriented batch executor
-(:func:`repro.engine.vectorized.execute_batch`), which processes whole
-delta/EDB relations as column tuples and emits collapsed pairs directly.
-The **backend** (``serial`` | ``threads`` | ``processes``) selects where
-the batch of applications runs; the batch executor composes with every
-backend and with delta partitioning, because partitioning happens above
-the per-rule executor.
+A parallel iteration splits the delta across workers: plans that scan
+the recursive predicate exactly once run over one part each (every
+derivation consumes exactly one delta row, so the emission multiset of
+the whole delta is the disjoint union of the parts'); any other plan
+runs once, unpartitioned.  The Theorem-3.1 merge is Counter-free: each
+worker reports its emission *total* and its *distinct* packed set, and
+at the barrier the totals sum, the distinct sets union, and duplicates
+are ``total - |fresh|`` — the same accounting the serial packed path
+uses, so results and derivation/duplicate statistics are bit-identical
+on every backend.
 
-``serial``
-    Runs every plan in-process against the full overrides — byte-for-byte
-    the pre-parallel behaviour, including identical probe counters.
 ``threads``
     A :class:`~concurrent.futures.ThreadPoolExecutor` sharing the parent
-    database.  :class:`~repro.storage.relation.Relation`,
-    :class:`~repro.storage.index.HashIndex` and the per-database index
-    cache are safe to share (immutable reads; the cache takes a lock).
-    On GIL-bound CPython builds pure-Python join work does not speed up,
-    so this backend is mainly a low-overhead shareability check and a
-    ready path for free-threaded builds.
+    database, domain and interned index caches (immutable reads; the
+    caches take a lock); workers merge their distinct rows into a shared
+    :class:`StripedPackedSink` as they finish.  On GIL-bound CPython
+    builds pure-Python join work does not speed up, so this backend is
+    mainly a ready path for free-threaded builds and the middle rung of
+    the degradation ladder.
 ``processes``
     A :class:`~concurrent.futures.ProcessPoolExecutor` whose workers
-    receive the (picklable) database and rules once, at pool start-up;
-    each worker compiles its own plans and keeps its own EDB index cache
-    for the lifetime of the closure, so per-iteration traffic is only
-    the delta partitions out and the emissions back.
+    receive the (picklable) database, the rules and the parent's domain
+    once, at pool start-up, and keep their own index caches for the
+    lifetime of the closure.  The per-iteration delta and each task's
+    distinct results cross the worker boundary as flat ``int64`` buffers
+    in ``multiprocessing.shared_memory`` segments
+    (:mod:`repro.engine.shm`), checksummed end to end, so ids never
+    decode to values mid-closure and only task descriptors are pickled.
 
-``serial`` is still fastest when deltas are small (partition + task
-overhead dominates), on single-core machines, and for thread executors
-on GIL-bound builds; see ``src/repro/engine/README.md``.
-
-Packed-id closures on the parallel backends
--------------------------------------------
-
-With interned execution the drivers do not use the collapsed-pair merge
-at all: :class:`PackedClosure` keeps the whole fixpoint in packed
-integers on *every* backend.  Parallel iterations split the delta
-across workers (plans that scan the recursive predicate exactly once
-partition; any other plan runs once, unpartitioned) and the Theorem-3.1
-merge is Counter-free: each worker reports its emission *total* and its
-*distinct* packed set, and at the barrier the totals sum, the distinct
-sets union (``threads`` workers merge into the shared
-:class:`StripedPackedSink` as they finish), and duplicates are
-``total - |fresh|`` — the same order-independent accounting the serial
-packed path uses.  On ``processes`` the per-iteration delta and each
-task's distinct results cross the worker boundary as flat ``int64``
-buffers in ``multiprocessing.shared_memory`` segments
-(:mod:`repro.engine.shm`), so ids never decode to values mid-closure;
-``EvalConfig(shared_memory=False)`` restores the PR-4 pickled exchange.
+Worker pools, the supervisor's retry/degrade ladder
+(:mod:`repro.engine.supervision`) and the segment ring serve the packed
+closure only; a run that degrades ``processes`` → ``threads`` →
+``serial`` finishes on :meth:`PackedClosure._run_serial`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import warnings
 from array import array
 from collections import Counter
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Container, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.datalog.terms import Constant
 from repro.engine.faults import FaultPlan, apply_worker_fault
@@ -141,9 +108,7 @@ from repro.engine.vectorized import (
     InternedDeltaCache,
     decode_packed_rows,
     execute_batch,
-    execute_interned,
     execute_interned_into,
-    execute_interned_packed,
     select_packed_specialization,
 )
 from repro.storage.database import Database
@@ -175,37 +140,32 @@ class EvalConfig:
     An ``EvalConfig`` is accepted by ``seminaive_closure``,
     ``naive_closure``, ``decomposed_closure``, ``separable_evaluate`` and
     ``solve_linear_recursion`` and threaded down to the per-rule
-    executor.  Two orthogonal knobs compose freely:
+    executor.  It selects
 
-    * ``executor`` — *how one rule application runs*: ``"rows"`` (the
-      slot executor, one row at a time) or ``"batch"`` (the
-      column-oriented executor of :mod:`repro.engine.vectorized`);
-    * ``backend`` — *where the batch of rule applications runs*:
-      ``"serial"``, ``"threads"`` or ``"processes"``, with optional
-      delta partitioning for the parallel backends;
-    * ``intern`` — with the batch executor, run its *int specialisation*:
+    * a *mode* — how one rule application runs: ``executor="rows"`` (the
+      slot executor, one row at a time), ``executor="batch"`` (the
+      column-oriented executor of :mod:`repro.engine.vectorized`), or
+      ``executor="batch", intern=True`` (its *int specialisation*:
       values are dictionary-encoded into dense ids through the
-      database's :class:`~repro.storage.domain.Domain`, scans read
-      ``array('q')`` interned columns, probes hit int-keyed payload
-      buckets, and heads are emitted as packed integers
-      (:func:`repro.engine.vectorized.execute_interned`).
+      database's :class:`~repro.storage.domain.Domain` and the whole
+      fixpoint runs on packed integers, :class:`PackedClosure`;
+      ``executor="interned"`` is sugar for the pair);
+    * a *backend* — where an iteration's rule applications run:
+      ``"serial"``, or, for the interned mode only, ``"threads"`` or
+      ``"processes"`` with the delta partitioned across workers.
 
     The default (``rows`` on ``serial``) is exactly the single-threaded
     compiled path.  Result relations and derivation/duplicate statistics
-    are identical for every combination.
-
-    For compatibility with the pre-batch API, passing a backend name as
-    ``executor`` (e.g. ``EvalConfig(executor="threads")``) is accepted
-    and normalised to ``backend="threads", executor="rows"``; the
-    spelling ``executor="interned"`` normalises to
-    ``executor="batch", intern=True``.
+    are identical for every valid combination; ``rows``/``batch`` on a
+    parallel backend is rejected (see the module docstring).
     """
 
-    #: One of :data:`EXECUTORS` (legacy: a :data:`BACKENDS` name).
+    #: One of :data:`EXECUTORS`.
     executor: str = "rows"
-    #: One of :data:`BACKENDS`.
+    #: One of :data:`BACKENDS`; the parallel ones require ``intern``.
     backend: str = "serial"
-    #: Worker count for the parallel backends; ``None`` means the CPU count.
+    #: Worker count for the parallel backends; ``None`` means the CPUs
+    #: this process may run on.
     max_workers: Optional[int] = None
     #: Hash partitions per partitionable delta; ``None`` tracks the
     #: resolved worker count.
@@ -214,19 +174,6 @@ class EvalConfig:
     min_partition_rows: int = 2
     #: Run the batch executor on interned ids (requires ``executor="batch"``).
     intern: bool = False
-    #: With ``intern``, maintain override views incrementally across
-    #: iterations (columns and int indexes extended from new rows when
-    #: the override's extension lineage allows).  ``False`` forces a
-    #: per-iteration rebuild — only useful for benchmarking the
-    #: maintenance win itself.
-    incremental_deltas: bool = True
-    #: With ``intern`` on the ``processes`` backend, exchange packed
-    #: deltas/results through ``multiprocessing.shared_memory`` segments
-    #: (the packed closure runs on every backend).  ``False`` falls back
-    #: to the PR-4 pickled-``array('q')`` exchange, which decodes at the
-    #: evaluator boundary every iteration — kept as an escape hatch and
-    #: a differential-test target.
-    shared_memory: bool = True
     #: Per-task deadline (seconds) on the parallel backends; a task that
     #: exceeds it is abandoned and resubmitted (the straggler's late
     #: output is discarded).  ``None`` disables the deadline.
@@ -247,13 +194,6 @@ class EvalConfig:
     #: ladder (``processes`` → ``threads`` → ``serial``; the serial rung
     #: cannot fail), ``"raise"`` surfaces the failure.
     on_failure: str = "degrade"
-    #: Checksum shared-memory delta windows end to end: the parent sums
-    #: each task's wire range before copying it into the segment and the
-    #: worker verifies the mapped window before joining on it, so a
-    #: lost-then-recreated or clobbered segment fails loudly
-    #: (:class:`~repro.engine.shm.SegmentCorruption`) instead of
-    #: deriving garbage.
-    verify_segments: bool = True
     #: Test-only deterministic fault schedule
     #: (:class:`~repro.engine.faults.FaultPlan`); ``None`` — always, in
     #: production — injects nothing and costs nothing.
@@ -284,31 +224,18 @@ class EvalConfig:
     replan_ratio: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.executor in BACKENDS:
-            # Legacy spelling: EvalConfig(executor="threads") predates the
-            # rows/batch knob.  Normalise, refusing ambiguous mixes.
-            if self.backend != "serial":
-                raise ValueError(
-                    f"Backend given twice: executor={self.executor!r} is a "
-                    f"legacy backend name and backend={self.backend!r} is set"
-                )
-            warnings.warn(
-                f"EvalConfig(executor={self.executor!r}) is deprecated; "
-                f"use EvalConfig(backend={self.executor!r}) or "
-                f"EvalConfig.from_spec('rows-{self.executor}')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "backend", self.executor)
-            object.__setattr__(self, "executor", "rows")
         if self.executor == "interned":
             # Sugar: the int specialisation is a mode of the batch
             # executor, not a third pipeline.
             object.__setattr__(self, "executor", "batch")
             object.__setattr__(self, "intern", True)
         if self.executor not in EXECUTORS:
+            hint = (f" ({self.executor!r} is a backend: spell it "
+                    f"EvalConfig.from_spec('interned-{self.executor}'))"
+                    if self.executor in BACKENDS else "")
             raise ValueError(
-                f"Unknown executor {self.executor!r}; expected one of {EXECUTORS}"
+                f"Unknown executor {self.executor!r}; expected one of "
+                f"{EXECUTORS}{hint}"
             )
         if self.backend not in BACKENDS:
             raise ValueError(
@@ -318,6 +245,13 @@ class EvalConfig:
             raise ValueError(
                 "intern=True requires the batch executor "
                 "(EvalConfig(executor='batch', intern=True))"
+            )
+        if self.backend != "serial" and not self.intern:
+            raise ValueError(
+                f"The {self.backend!r} backend runs the packed-id closure "
+                f"only and {self.executor!r} is serial-only; use "
+                f"EvalConfig.from_spec('interned-{self.backend}') "
+                f"(executor='batch', intern=True, backend={self.backend!r})"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -367,12 +301,14 @@ class EvalConfig:
 
             EvalConfig.from_spec("interned-processes")
             EvalConfig.from_spec("interned-processes-maintain")
-            EvalConfig.from_spec("batch-threads")
+            EvalConfig.from_spec("interned-threads-adaptive")
             EvalConfig.from_spec("interned-costed")
-            EvalConfig.from_spec("processes-adaptive")
-            EvalConfig.from_spec("processes")        # rows executor
+            EvalConfig.from_spec("batch")
             EvalConfig.from_spec("interned")
             EvalConfig.from_spec("")                 # the default config
+
+        A parallel backend needs the ``interned`` mode; ``rows-threads``
+        and the like raise, naming the ``interned-<backend>`` spelling.
 
         Keyword *overrides* are passed through to the constructor for
         the long-tail knobs (``max_workers=...``, ``deadline=...``).
@@ -459,9 +395,17 @@ class EvalConfig:
         return self.executor
 
     def resolved_workers(self) -> int:
-        """The effective worker count."""
+        """The effective worker count.
+
+        Defaults to the CPUs this process may run on — in a cgroup- or
+        affinity-limited container ``os.cpu_count()`` is the host's
+        count, and every surplus process worker unpickles the EDB for
+        nothing.
+        """
         if self.max_workers is not None:
             return self.max_workers
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
 
     def resolved_partitions(self) -> int:
@@ -475,99 +419,6 @@ class EvalConfig:
 SERIAL_CONFIG = EvalConfig()
 
 
-@dataclass(frozen=True)
-class RuleTask:
-    """One unit of work: some plans applied to one (possibly split) view.
-
-    ``partition_index`` is ``-1`` for an unpartitioned task; partitioned
-    tasks over the same delta carry ``0 .. n-1`` and together cover that
-    delta exactly once.  Plans that split on the same delta relation are
-    grouped into one task per partition, so each partition's rows cross
-    the executor boundary once, not once per rule.
-    """
-
-    plan_indices: tuple[int, ...]
-    partition_index: int
-    overrides: Mapping[str, Relation]
-
-
-def split_relation(relation: Relation, partitions: int) -> list[Relation]:
-    """Hash-partition a relation's rows into at most *partitions* parts.
-
-    Empty parts are dropped; the returned parts are pairwise disjoint and
-    their union is the input.  Assignment uses ``hash(row)``, so which
-    part a row lands in is not stable across interpreter runs for salted
-    types (strings); every consumer in this module is partition-agnostic,
-    so results and derivation statistics are unaffected.
-    """
-    if partitions <= 1 or len(relation) < 2:
-        return [relation]
-    buckets: list[list[Row]] = [[] for _ in range(partitions)]
-    for row in relation.rows:
-        buckets[hash(row) % partitions].append(row)
-    return [
-        Relation.from_canonical(relation.name, relation.arity, frozenset(bucket))
-        for bucket in buckets
-        if bucket
-    ]
-
-
-def partition_tasks(plans: Sequence[CompiledRule],
-                    overrides: Mapping[str, Relation],
-                    partitions: int,
-                    min_partition_rows: int = 2) -> list[RuleTask]:
-    """Break one iteration's rule batch into independent tasks.
-
-    Every plan is covered by exactly one set of tasks:
-
-    * A plan whose body scans some override relation exactly once is
-      *splittable* on that relation (the largest such override is chosen
-      when there are several).  Plans splitting on the same relation are
-      grouped; the relation is split by :func:`split_relation` and each
-      part becomes one task running the whole group, so partitioned
-      delta rows are shipped to workers once per partition, not once per
-      rule.  Plans splitting on *different* (disjoint) delta relations
-      land in different groups and run concurrently as a matter of
-      course.
-    * Every other plan — including those that mention a delta relation
-      twice, where row-partitioning would lose cross-part derivations —
-      runs as its own unpartitioned task over the full overrides.
-    """
-    split_groups: dict[str, list[int]] = {}
-    solo: list[int] = []
-    for plan_index, plan in enumerate(plans):
-        counts: dict[str, int] = {}
-        for name in plan.scan_relation_names():
-            if name in overrides:
-                counts[name] = counts.get(name, 0) + 1
-        splittable = [
-            name for name, count in counts.items()
-            if count == 1 and len(overrides[name]) >= min_partition_rows
-        ]
-        if partitions > 1 and splittable:
-            target = max(splittable, key=lambda name: len(overrides[name]))
-            split_groups.setdefault(target, []).append(plan_index)
-        else:
-            solo.append(plan_index)
-
-    tasks = [RuleTask((plan_index,), -1, overrides) for plan_index in solo]
-    for name, indices in split_groups.items():
-        parts = split_relation(overrides[name], partitions)
-        if len(parts) == 1:
-            tasks.append(RuleTask(tuple(indices), -1, overrides))
-            continue
-        for part_index, part in enumerate(parts):
-            view = dict(overrides)
-            view[name] = part
-            tasks.append(RuleTask(tuple(indices), part_index, view))
-    return tasks
-
-
-# ----------------------------------------------------------------------
-# Worker entry points
-# ----------------------------------------------------------------------
-
-
 def _collapse(emissions: list[Row]) -> list[tuple[Row, int]]:
     """Collapse an emission multiset into (row, multiplicity) pairs.
 
@@ -575,48 +426,14 @@ def _collapse(emissions: list[Row]) -> list[tuple[Row, int]]:
     deterministic given the plan; duplicate accounting over it is exactly
     equivalent to per-emission accounting (a tuple emitted ``k`` times
     yields ``k`` derivations, of which ``k`` or ``k - 1`` are duplicates
-    depending only on whether the tuple was already known).  Collapsing
-    inside the task shrinks both the rows shipped back from process
-    workers and the driver's serial merge loop.
+    depending only on whether the tuple was already known).
     """
     return list(Counter(emissions).items())
 
 
-def _plan_pairs(plan: CompiledRule, database: Database,
-                overrides: Mapping[str, Relation], counters: JoinCounters,
-                mode: str,
-                deltas: Optional[InternedDeltaCache] = None
-                ) -> list[tuple[Row, int]]:
-    """One rule application, collapsed, on the configured executor."""
-    if mode == "interned":
-        return execute_interned(plan, database, overrides, counters=counters,
-                                deltas=deltas)
-    if mode == "batch":
-        return execute_batch(plan, database, overrides, counters=counters)
-    return _collapse(plan.execute(database, overrides, counters=counters))
-
-
-def _execute_task(database: Database, plans: Sequence[CompiledRule],
-                  overrides: Mapping[str, Relation], mode: str,
-                  fault: Optional[tuple[str, float]] = None
-                  ) -> tuple[list[tuple[Row, int]], JoinCounters]:
-    """Thread-backend task body: run the task's plans on shared storage.
-
-    Interned tasks share the parent database's domain (interning is
-    thread-safe) but build their override views per task: partitioned
-    views differ between tasks, so there is nothing to share.  *fault*
-    is a planned task directive drawn by the supervisor at submission
-    time (``None`` outside chaos tests).
-    """
-    apply_worker_fault(fault, in_process_worker=False)
-    counters = JoinCounters()
-    deltas = (InternedDeltaCache(database.domain())
-              if mode == "interned" else None)
-    pairs: list[tuple[Row, int]] = []
-    for plan in plans:
-        pairs.extend(_plan_pairs(plan, database, overrides, counters, mode,
-                                 deltas))
-    return pairs, counters
+# ----------------------------------------------------------------------
+# Worker entry points
+# ----------------------------------------------------------------------
 
 
 def intern_program_constants(plans: Sequence[CompiledRule],
@@ -633,13 +450,6 @@ def intern_program_constants(plans: Sequence[CompiledRule],
             for term in atom.arguments:
                 if isinstance(term, Constant):
                     domain.intern(term.value)
-
-
-def _pack_relation(relation: Relation,
-                   domain: Domain) -> tuple[int, int, array]:
-    """A relation as ``(arity, row count, flat id buffer)`` for shipping."""
-    interned = InternedRelation.from_relation(relation, domain)
-    return relation.arity, interned.length, interned.to_flat()
 
 
 def _plan_orders(plans: Sequence[CompiledRule]) -> Optional[tuple]:
@@ -685,18 +495,18 @@ def _worker_sync_orders(orders: Optional[tuple]) -> None:
 
 
 def _process_worker_init(database: Database, rules: tuple,
-                         domain_values: Optional[list] = None,
+                         domain_values: list,
                          orders: Optional[tuple] = None) -> None:
     """Process-pool initializer: receive the EDB and compile plans once.
 
     The database arrives pickled (relations only — caches are not part of
     its pickled state), so each worker owns an independent index cache
-    that persists across every iteration of the closure.  For interned
-    execution *domain_values* replays the parent's id assignment, so the
-    worker's domain is bit-compatible with the parent's and flat id
-    buffers can cross the process boundary in either direction.
-    *orders* ships the planner's forced join orders (``None`` under the
-    greedy planner), so worker plans match the parent's exactly.
+    that persists across every iteration of the closure.
+    *domain_values* replays the parent's id assignment, so the worker's
+    domain is bit-compatible with the parent's and flat id buffers can
+    cross the process boundary in either direction.  *orders* ships the
+    planner's forced join orders (``None`` under the greedy planner), so
+    worker plans match the parent's exactly.
     """
     global _WORKER_DATABASE, _WORKER_RULES, _WORKER_PLANS
     global _WORKER_ORDERS, _WORKER_DOMAIN_BASE
@@ -704,83 +514,8 @@ def _process_worker_init(database: Database, rules: tuple,
     _WORKER_RULES = tuple(rules)
     _WORKER_ORDERS = object()  # sentinel: force the sync below
     _worker_sync_orders(orders)
-    _WORKER_DOMAIN_BASE = 0
-    if domain_values is not None:
-        database.domain().seed(domain_values)
-        _WORKER_DOMAIN_BASE = len(domain_values)
-
-
-def _process_worker_run(plan_indices: tuple[int, ...],
-                        overrides: Mapping[str, Relation],
-                        mode: str,
-                        fault: Optional[tuple[str, float]] = None,
-                        orders: Optional[tuple] = None
-                        ) -> tuple[list[tuple[Row, int]], JoinCounters]:
-    """Process-pool task body: execute the task's pre-compiled plans.
-
-    Returns the counters as the :class:`JoinCounters` dataclass itself
-    (it pickles cleanly), so the parent merges them through the same
-    ``merge()`` path as the thread backend and a counter field added
-    later cannot silently go missing from one backend.
-    """
-    assert _WORKER_DATABASE is not None, "worker used before initialization"
-    _worker_sync_orders(orders)
-    apply_worker_fault(fault, in_process_worker=True)
-    counters = JoinCounters()
-    pairs: list[tuple[Row, int]] = []
-    for plan_index in plan_indices:
-        pairs.extend(_plan_pairs(
-            _WORKER_PLANS[plan_index], _WORKER_DATABASE, overrides, counters,
-            mode,
-        ))
-    return pairs, counters
-
-
-def _process_worker_run_interned(plan_indices: tuple[int, ...],
-                                 packed: Mapping[str, tuple[int, int, array]],
-                                 domain_tail: list,
-                                 fault: Optional[tuple[str, float]] = None,
-                                 orders: Optional[tuple] = None
-                                 ) -> tuple[list[tuple[int, array, array]], JoinCounters]:
-    """Interned process task: flat id buffers in, flat id buffers out.
-
-    *packed* maps override names to ``(arity, rows, flat ids)``; the
-    worker reconstructs :class:`InternedRelation` views directly from
-    the buffers (never materialising value rows), runs the interned
-    executor, and returns each plan's collapsed emissions as
-    ``(head arity, flat row ids, counts)`` — the parent decodes ids to
-    values through its own domain.  *domain_tail* replays any parent
-    interning since pool start-up (typically just the initial
-    relation's novel values), keeping the id spaces aligned.
-    """
-    assert _WORKER_DATABASE is not None, "worker used before initialization"
-    _worker_sync_orders(orders)
-    apply_worker_fault(fault, in_process_worker=True)
-    database = _WORKER_DATABASE
-    domain = database.domain()
-    for value in domain_tail:
-        domain.intern(value)
-    overrides = {
-        name: InternedRelation.from_flat(name, arity, flat, length)
-        for name, (arity, length, flat) in packed.items()
-    }
-    deltas = InternedDeltaCache(domain)
-    counters = JoinCounters()
-    segments: list[tuple[int, array, array]] = []
-    for plan_index in plan_indices:
-        pairs, base_k, head_arity = execute_interned_packed(
-            _WORKER_PLANS[plan_index], database, overrides, counters, deltas,
-        )
-        flat_ids = array("q")
-        counts = array("q")
-        ids = [0] * head_arity
-        for packed_row, count in pairs:
-            for i in range(head_arity - 1, -1, -1):
-                packed_row, ids[i] = divmod(packed_row, base_k)
-            flat_ids.extend(ids)
-            counts.append(count)
-        segments.append((head_arity, flat_ids, counts))
-    return segments, counters
+    database.domain().seed(domain_values)
+    _WORKER_DOMAIN_BASE = len(domain_values)
 
 
 class StripedPackedSink:
@@ -924,9 +659,8 @@ def _process_worker_run_packed(plan_indices: tuple[int, ...],
                                delta_name: str, wire_packed: bool,
                                start: int, stop: int,
                                result_name: str, result_capacity: int,
-                               domain_tail: list,
+                               domain_tail: list, checksum: int,
                                fault: Optional[tuple[str, float]] = None,
-                               checksum: Optional[int] = None,
                                orders: Optional[tuple] = None
                                ) -> tuple[int, int, JoinCounters,
                                           Optional[array], int]:
@@ -941,12 +675,12 @@ def _process_worker_run_packed(plan_indices: tuple[int, ...],
     outgrew its segment, the payload itself plus the size needed next
     time — cross the pickle boundary.
 
-    With ``EvalConfig.verify_segments`` the parent ships *checksum* —
-    the additive sum it computed over this task's wire range before the
-    copy into shared memory — and the worker verifies the mapped window
-    against it before any join work, so a lost-then-recreated or
-    clobbered segment raises :class:`~repro.engine.shm.SegmentCorruption`
-    instead of deriving from garbage ids.
+    *checksum* is the additive sum the parent computed over this task's
+    wire range before the copy into shared memory; the worker verifies
+    the mapped window against it before any join work, so a
+    lost-then-recreated or clobbered segment raises
+    :class:`~repro.engine.shm.SegmentCorruption` instead of deriving
+    from garbage ids.
     """
     assert _WORKER_DATABASE is not None, "worker used before initialization"
     _worker_sync_orders(orders)
@@ -964,13 +698,12 @@ def _process_worker_run_packed(plan_indices: tuple[int, ...],
     shm, window = worker_read_range(delta_name, wire_packed, start, stop,
                                     arity)
     try:
-        if checksum is not None:
-            found = window_checksum(window, wire_packed)
-            if found != checksum:
-                raise SegmentCorruption(
-                    f"delta window [{start}:{stop}] of segment "
-                    f"{delta_name!r} sums to {found}, expected {checksum}"
-                )
+        found = window_checksum(window, wire_packed)
+        if found != checksum:
+            raise SegmentCorruption(
+                f"delta window [{start}:{stop}] of segment "
+                f"{delta_name!r} sums to {found}, expected {checksum}"
+            )
         if wire_packed:
             rows: Any = window
             columns = None
@@ -1004,10 +737,13 @@ def _process_worker_run_packed(plan_indices: tuple[int, ...],
 class ParallelEvaluator:
     """Executes per-iteration rule batches under an :class:`EvalConfig`.
 
-    A context manager: the worker pool (if any) is created on ``__enter__``
-    and lives for the whole closure, so process workers pickle the EDB
-    and compile plans exactly once and keep their index caches warm
-    across iterations.
+    Serial ``rows``/``batch`` drivers call :meth:`execute_batch` once
+    per iteration; interned drivers take a :class:`PackedClosure` from
+    :meth:`packed_closure` and step that instead.  A context manager:
+    the packed closure's worker pool (if the backend has one) is created
+    on ``__enter__`` and lives for the whole closure, so process workers
+    pickle the EDB and compile plans exactly once and keep their index
+    caches warm across iterations.
     """
 
     def __init__(self, plans: Sequence[CompiledRule], database: Database,
@@ -1040,14 +776,7 @@ class ParallelEvaluator:
         #: refresh when it moves.
         self.pool_generation = 0
         self._pool: Optional[Executor] = None
-        #: Serial interned execution keeps one delta cache for the whole
-        #: closure, so growing overrides (extension lineage) have their
-        #: interned columns and int indexes maintained incrementally
-        #: across iterations.
-        self._deltas: Optional[InternedDeltaCache] = None
-        if self.config.interned() and self.config.backend == "serial":
-            self._deltas = InternedDeltaCache(database.domain())
-        #: Domain size at pool start-up (interned process backend): the
+        #: Domain size at pool start-up (process backend): the
         #: values workers were seeded with; later growth ships as a tail.
         #: Refreshed on every pool rebuild (rebuilt workers are seeded
         #: with the domain as it stands *then*).
@@ -1076,17 +805,15 @@ class ParallelEvaluator:
             )
         elif backend == "processes":
             rules = tuple(plan.rule for plan in self.plans)
-            domain_values: Optional[list] = None
-            if config.interned():
-                # Seed workers with a complete snapshot: the full EDB
-                # and every rule constant interned up front, so worker
-                # domains replay the parent's ids exactly and any id a
-                # worker emits is already decodable by the parent.
-                domain = self.database.domain()
-                self.database.intern_all()
-                intern_program_constants(self.plans, domain)
-                domain_values = domain.values_snapshot()
-                self._domain_base = len(domain_values)
+            # Seed workers with a complete snapshot: the full EDB and
+            # every rule constant interned up front, so worker domains
+            # replay the parent's ids exactly and any id a worker emits
+            # is already decodable by the parent.
+            domain = self.database.domain()
+            self.database.intern_all()
+            intern_program_constants(self.plans, domain)
+            domain_values = domain.values_snapshot()
+            self._domain_base = len(domain_values)
             self._pool = ProcessPoolExecutor(
                 max_workers=config.resolved_workers(),
                 initializer=_process_worker_init,
@@ -1107,9 +834,9 @@ class ParallelEvaluator:
         """Replace a broken pool (supervisor callback).
 
         Process workers are re-seeded exactly like at ``__enter__``:
-        fresh database pickle, fresh plan compilation, and — interned —
-        a fresh domain snapshot, so ids stay aligned no matter how far
-        the evaluation had progressed when the pool died.
+        fresh database pickle, fresh plan compilation and a fresh domain
+        snapshot, so ids stay aligned no matter how far the evaluation
+        had progressed when the pool died.
         """
         self._shutdown_pool()
         self.pool_generation += 1
@@ -1180,179 +907,45 @@ class ParallelEvaluator:
 
     def execute_batch(self, overrides: Mapping[str, Relation],
                       statistics: EvaluationStatistics) -> list[tuple[Row, int]]:
-        """Apply every plan to *overrides*; return collapsed emissions.
+        """Apply every plan to *overrides* in-process; return collapsed emissions.
 
-        The returned list holds ``(row, multiplicity)`` pairs — each
-        task's emission multiset collapsed by :func:`_collapse` — in
-        deterministic task order (:func:`partition_tasks`).  Duplicate
-        accounting over the pairs is exactly equivalent to per-emission
-        accounting in the serial drivers (see
+        The serial ``rows``/``batch`` iteration (also what
+        :mod:`repro.ivm.maintain` drives its delta rules with).  The
+        returned list holds ``(row, multiplicity)`` pairs — each plan's
+        emission multiset collapsed (:func:`_collapse`) — in plan order.
+        Duplicate accounting over the pairs is exactly equivalent to
+        per-emission accounting (see
         :func:`record_collapsed_productions`).  ``statistics`` receives
-        one rule application per plan and the folded join counters —
-        committed only once the iteration *succeeds*, so replayed
-        attempts never double-count.
+        one rule application per plan and the join counters.
         """
-        mode = self.config.mode()
-        supervisor = self.supervisor
-        supervisor.start_iteration()
-        if self._pool is None:
-            # Serial (configured, or the floor of the degradation
-            # ladder): in-process execution has no infrastructure to
-            # fail, so counters write through directly.
-            statistics.rule_applications += len(self.plans)
-            return self._execute_batch_serial(overrides, mode,
-                                              statistics.joins)
-
-        def attempt() -> tuple[list[tuple[Row, int]], JoinCounters]:
-            counters = JoinCounters()
-            collapsed = self._execute_batch_attempt(overrides, mode, counters)
-            supervisor.check_merge_fault()
-            return collapsed, counters
-
-        collapsed, counters = supervisor.run_iteration(attempt)
+        self.supervisor.start_iteration()
         statistics.rule_applications += len(self.plans)
-        statistics.joins.merge(counters)
-        return collapsed
-
-    def _execute_batch_serial(self, overrides: Mapping[str, Relation],
-                              mode: str, counters: JoinCounters
-                              ) -> list[tuple[Row, int]]:
-        """The in-process batch (serial config or fully degraded)."""
-        deltas = self._deltas
-        if mode == "interned" and deltas is None:
-            # incremental_deltas=False (or a degraded-to-serial run):
-            # fresh views per iteration (plans within the iteration
-            # still share them).
-            deltas = InternedDeltaCache(self.database.domain())
+        counters = statistics.joins
         collapsed: list[tuple[Row, int]] = []
-        for plan in self.plans:
-            collapsed.extend(_plan_pairs(
-                plan, self.database, overrides, counters, mode, deltas,
-            ))
-        return collapsed
-
-    def _execute_batch_attempt(self, overrides: Mapping[str, Relation],
-                               mode: str, counters: JoinCounters
-                               ) -> list[tuple[Row, int]]:
-        """One iteration attempt on the current effective backend.
-
-        Re-dispatches on ``supervisor.backend`` every call, so a replay
-        after a degradation lands on the new rung automatically.
-        """
-        supervisor = self.supervisor
-        backend = supervisor.backend
-        pool = self._pool
-        if pool is None or backend == "serial":
-            return self._execute_batch_serial(overrides, mode, counters)
-        tasks = partition_tasks(
-            self.plans, overrides,
-            self.config.resolved_partitions(), self.config.min_partition_rows,
-        )
-        if backend == "threads":
-            def make_submit(index: int, task: RuleTask):
-                plans = [self.plans[i] for i in task.plan_indices]
-
-                def submit():
-                    fault = supervisor.draw_task_fault(index)
-                    return pool.submit(_execute_task, self.database, plans,
-                                       task.overrides, mode, fault)
-                return submit
-        elif mode == "interned":
-            return self._execute_interned_processes(tasks, counters)
+        if self.config.batched():
+            for plan in self.plans:
+                collapsed.extend(execute_batch(plan, self.database, overrides,
+                                               counters=counters))
         else:
-            def make_submit(index: int, task: RuleTask):
-                def submit():
-                    fault = supervisor.draw_task_fault(index)
-                    return pool.submit(_process_worker_run, task.plan_indices,
-                                       task.overrides, mode, fault,
-                                       self.plan_orders)
-                return submit
-        submits = [make_submit(index, task)
-                   for index, task in enumerate(tasks)]
-        collapsed: list[tuple[Row, int]] = []
-        for task_pairs, task_counters in supervisor.gather(submits):
-            counters.merge(task_counters)
-            collapsed.extend(task_pairs)
+            for plan in self.plans:
+                collapsed.extend(_collapse(plan.execute(
+                    self.database, overrides, counters=counters)))
         return collapsed
 
     def packed_closure(self, initial: Relation) -> Optional["PackedClosure"]:
-        """A packed-id-space closure, when this configuration supports one.
+        """A packed-id-space closure, for every interned configuration.
 
-        Interned execution qualifies on *every* backend: the drivers
-        keep the whole fixpoint in packed integers and decode once at
-        the end.  On ``threads`` the workers share the parent's packed
-        accumulator through a striped sink; on ``processes`` deltas and
-        results cross the worker boundary as flat id buffers in
-        ``multiprocessing.shared_memory`` segments.  The only exception
-        is ``processes`` with ``shared_memory=False`` — the escape hatch
-        back to the PR-4 pickled exchange, which decodes per iteration
-        at the evaluator boundary — where the drivers fall back to the
-        value-space loop.
+        The interned drivers keep the whole fixpoint in packed integers
+        and decode once at the end, on every backend: on ``threads`` the
+        workers share the parent's packed accumulator through a striped
+        sink; on ``processes`` deltas and results cross the worker
+        boundary as flat id buffers in ``multiprocessing.shared_memory``
+        segments.  ``None`` for the ``rows``/``batch`` modes, whose
+        drivers loop over :meth:`execute_batch`.
         """
         if not self.config.interned():
             return None
-        if self.config.backend == "processes" and not self.config.shared_memory:
-            return None
         return PackedClosure(self, initial)
-
-    def _execute_interned_processes(self, tasks: Sequence[RuleTask],
-                                    counters: JoinCounters
-                                    ) -> list[tuple[Row, int]]:
-        """Interned tasks on the process pool: flat id buffers both ways.
-
-        Overrides ship as packed ``array('q')`` buffers (8 bytes per
-        value, no per-row object overhead) instead of pickled tuple
-        sets; each distinct relation object is packed once per call even
-        when several tasks reference it.  Results come back as flat row
-        ids plus counts and are decoded through the parent domain.
-        """
-        pool = self._pool
-        assert pool is not None
-        supervisor = self.supervisor
-        domain = self.database.domain()
-        packed_cache: dict[int, tuple[int, int, array]] = {}
-
-        def pack(relation: Relation) -> tuple[int, int, array]:
-            cached = packed_cache.get(id(relation))
-            if cached is None:
-                cached = _pack_relation(relation, domain)
-                packed_cache[id(relation)] = cached
-            return cached
-
-        def make_submit(index: int, task: RuleTask):
-            packed = {name: pack(relation)
-                      for name, relation in task.overrides.items()}
-
-            def submit():
-                fault = supervisor.draw_task_fault(index)
-                # Packing may have interned values the workers have
-                # never seen (the initial relation's novel values on the
-                # first iteration); ship the domain tail alongside.  The
-                # tail is taken at submission time against the *current*
-                # seed base, so it stays correct across pool rebuilds.
-                tail = domain.values_snapshot(self._domain_base)
-                return pool.submit(
-                    _process_worker_run_interned, task.plan_indices, packed,
-                    tail, fault, self.plan_orders,
-                )
-            return submit
-
-        submits = [make_submit(index, task)
-                   for index, task in enumerate(tasks)]
-        values = domain.values_view()
-        collapsed: list[tuple[Row, int]] = []
-        for segments, task_counters in supervisor.gather(submits):
-            counters.merge(task_counters)
-            for head_arity, flat_ids, counts in segments:
-                offset = 0
-                for count in counts:
-                    collapsed.append((
-                        tuple(values[ident]
-                              for ident in flat_ids[offset:offset + head_arity]),
-                        count,
-                    ))
-                    offset += head_arity
-        return collapsed
 
 
 class PackedClosure:
@@ -1400,7 +993,6 @@ class PackedClosure:
         self.plans = evaluator.plans
         self.evaluator = evaluator
         config = evaluator.config
-        self.incremental = config.incremental_deltas
         self.partitions = config.resolved_partitions()
         self.min_partition_rows = config.min_partition_rows
         domain = database.domain()
@@ -1423,34 +1015,7 @@ class PackedClosure:
         self._delta_packed: set[int] = set(known)
         self._deltas = InternedDeltaCache(domain)
         self._total_view: Optional[InternedRelation] = None
-        #: Per-plan grouped-join specialisation — the two-scan binary
-        #: shape and the 3-atom chain shapes (any head arity), selected
-        #: by :func:`repro.engine.vectorized.select_packed_specialization`
-        #: — with per-plan persistent groups for the serial naive
-        #: driver's incrementally maintained total.
-        self._fast: list[Optional[Any]] = [
-            select_packed_specialization(plan, self.name, self.arity, base)
-            for plan in self.plans
-        ]
-        self._fast_groups: list[Optional[dict[int, list[int]]]] = (
-            [None] * len(self.plans)
-        )
-        #: Plans that scan the recursive predicate exactly once can have
-        #: the delta row-partitioned; every other plan runs once, whole.
-        self._splittable = tuple(
-            plan.scan_relation_names().count(self.name) == 1
-            for plan in self.plans
-        )
-        #: With no splittable plan at all there is no parallelism to
-        #: win — every iteration would ship the whole delta to a single
-        #: worker task — so such closures stay on the in-process path.
-        self._any_splittable = any(self._splittable)
-        self._split_plans = tuple(
-            i for i, ok in enumerate(self._splittable) if ok
-        )
-        self._solo_plans = tuple(
-            i for i, ok in enumerate(self._splittable) if not ok
-        )
+        self.refresh_plans()
         #: Domain growth beyond the process workers' seed snapshot.
         #: The base is frozen above, after interning everything a
         #: derivation can produce, so within one pool generation the
@@ -1509,26 +1074,38 @@ class PackedClosure:
         return rows
 
     def refresh_plans(self) -> None:
-        """Rebuild plan-derived state after an adaptive plan swap.
+        """Derive the per-plan state (at construction and after a plan swap).
 
-        ``self.plans`` is the evaluator's own list, already updated in
-        place by :meth:`ParallelEvaluator.replace_plans`; everything
-        derived from it — grouped specialisations and their persistent
-        groups, the splittable partition — is recomputed here.  The
-        packing base, domain, accumulated rows and delta are untouched:
-        a plan swap changes how the next iteration runs, never what has
-        been derived.
+        ``self.plans`` is the evaluator's own list, updated in place by
+        :meth:`ParallelEvaluator.replace_plans` on an adaptive swap;
+        everything derived from it — grouped specialisations and their
+        persistent groups, the splittable partition — is recomputed
+        here.  The packing base, domain, accumulated rows and delta are
+        untouched: a plan swap changes how the next iteration runs,
+        never what has been derived.
         """
-        base = self.base_k
-        self._fast = [
-            select_packed_specialization(plan, self.name, self.arity, base)
+        #: Per-plan grouped-join specialisation — the two-scan binary
+        #: shape and the 3-atom chain shapes (any head arity), selected
+        #: by :func:`repro.engine.vectorized.select_packed_specialization`
+        #: — with per-plan persistent groups for the serial naive
+        #: driver's incrementally maintained total.
+        self._fast: list[Optional[Any]] = [
+            select_packed_specialization(plan, self.name, self.arity,
+                                         self.base_k)
             for plan in self.plans
         ]
-        self._fast_groups = [None] * len(self.plans)
+        self._fast_groups: list[Optional[dict[int, list[int]]]] = (
+            [None] * len(self.plans)
+        )
+        #: Plans that scan the recursive predicate exactly once can have
+        #: the delta row-partitioned; every other plan runs once, whole.
         self._splittable = tuple(
             plan.scan_relation_names().count(self.name) == 1
             for plan in self.plans
         )
+        #: With no splittable plan at all there is no parallelism to
+        #: win — every iteration would ship the whole delta to a single
+        #: worker task — so such closures stay on the in-process path.
         self._any_splittable = any(self._splittable)
         self._split_plans = tuple(
             i for i, ok in enumerate(self._splittable) if ok
@@ -1591,8 +1168,6 @@ class PackedClosure:
         iterations never update the persistent ones.
         """
         persist = naive and self.backend == "serial"
-        if not self.incremental:
-            self._deltas = InternedDeltaCache(self.domain)
         total = 0
         distinct: set[int] = set()
         view: Optional[InternedRelation] = None
@@ -1601,7 +1176,7 @@ class PackedClosure:
             if fast is not None:
                 if persist:
                     groups = self._fast_groups[i]
-                    if groups is None or not self.incremental:
+                    if groups is None:
                         groups = fast.build_groups(packed_rows, self.base_k)
                         self._fast_groups[i] = groups
                 else:
@@ -1609,20 +1184,15 @@ class PackedClosure:
                 total += fast.run(groups, self.database, distinct, counters,
                                   n_rows)
                 continue
+            if view is None and persist:
+                view = self._total_view
             if view is None:
+                view = InternedRelation(
+                    self.name, self.arity,
+                    self._unpack_columns(packed_rows), n_rows,
+                )
                 if persist:
-                    view = self._total_view
-                    if view is None or not self.incremental:
-                        view = InternedRelation(
-                            self.name, self.arity,
-                            self._unpack_columns(packed_rows), n_rows,
-                        )
-                        self._total_view = view
-                else:
-                    view = InternedRelation(
-                        self.name, self.arity,
-                        self._unpack_columns(packed_rows), n_rows,
-                    )
+                    self._total_view = view
             emitted, _, _ = execute_interned_into(
                 plan, self.database, distinct, {self.name: view}, counters,
                 self._deltas, self.base_k,
@@ -1715,9 +1285,9 @@ class PackedClosure:
         Supervision details: result slots are taken per *submission*
         (:meth:`~repro.engine.shm.SegmentRing.take_result`), so a task
         resubmitted after a timeout writes into a fresh slot instead of
-        racing its abandoned twin; with ``verify_segments`` each task
-        carries the parent-side checksum of its wire range, verified by
-        the worker against the mapped window; and a replayed iteration
+        racing its abandoned twin; each task carries the parent-side
+        checksum of its wire range, verified by the worker against the
+        mapped window; and a replayed iteration
         finds the ring recycled (fresh names) and rewrites the delta
         from the same immutable ``packed_rows``.
         """
@@ -1752,12 +1322,10 @@ class PackedClosure:
         # list.
         tail = self._domain_tail()
         entry_width = 1 if self._packed_wire else max(1, self.arity)
-        verify = self.evaluator.config.verify_segments
         # Checksums come from the pristine in-memory wire buffer, per
         # task range, *before* any fault can touch the segment.
-        checksums: list[Optional[int]] = [
+        checksums = [
             wire_checksum(wire, start * entry_width, stop * entry_width)
-            if verify else None
             for (_, start, stop) in tasks
         ]
         segment_fault = supervisor.draw_segment_fault()
@@ -1766,7 +1334,7 @@ class PackedClosure:
         slots: list[Optional[ManagedSegment]] = [None] * len(tasks)
 
         def make_submit(index: int, plan_indices: tuple[int, ...],
-                        start: int, stop: int, checksum: Optional[int]):
+                        start: int, stop: int, checksum: int):
             def submit():
                 fault = supervisor.draw_task_fault(index)
                 segment = ring.take_result()
@@ -1778,7 +1346,7 @@ class PackedClosure:
                     _process_worker_run_packed, plan_indices, self.name,
                     self.arity, self.base_k, delta_name, self._packed_wire,
                     start, stop, segment.name, segment.capacity, tail,
-                    fault, checksum, self.evaluator.plan_orders,
+                    checksum, fault, self.evaluator.plan_orders,
                 )
             return submit
 
@@ -1823,9 +1391,7 @@ class PackedClosure:
 
         The total's structures are append-only: its interned view, any
         int indexes over it, and the grouped-join mappings of the fast
-        path are all maintained incrementally from the new rows
-        (``incremental_deltas=False`` rebuilds them per iteration — the
-        measurable difference the benchmarks record).
+        path are all maintained incrementally from the new rows.
         """
         total, distinct = self._run(self.known, len(self.known), True,
                                     statistics)
@@ -1834,17 +1400,16 @@ class PackedClosure:
         statistics.duplicates += total - len(fresh)
         if fresh:
             self.known |= fresh
-            if self.incremental:
-                view = self._total_view
-                if view is not None:
-                    appended = self._unpack_columns(fresh)
-                    for column, extra in zip(view.columns, appended):
-                        column.extend(extra)
-                    view.length += len(fresh)
-                for i, fast in enumerate(self._fast):
-                    groups = self._fast_groups[i]
-                    if fast is not None and groups is not None:
-                        fast.build_groups(fresh, self.base_k, groups)
+            view = self._total_view
+            if view is not None:
+                appended = self._unpack_columns(fresh)
+                for column, extra in zip(view.columns, appended):
+                    column.extend(extra)
+                view.length += len(fresh)
+            for i, fast in enumerate(self._fast):
+                groups = self._fast_groups[i]
+                if fast is not None and groups is not None:
+                    fast.build_groups(fresh, self.base_k, groups)
         return len(fresh)
 
     def freeze(self) -> Relation:
@@ -1855,38 +1420,27 @@ class PackedClosure:
 
 
 def record_collapsed_productions(pairs: Sequence[tuple[Row, int]],
-                                 known: Container[Row],
-                                 produced: set[Row],
-                                 statistics: EvaluationStatistics) -> None:
-    """Account one iteration's collapsed emissions into *statistics*.
+                                 known: RowSetBuilder,
+                                 statistics: EvaluationStatistics
+                                 ) -> set[Row]:
+    """Account one iteration's collapsed emissions; return the new tuples.
 
     Equivalent to calling
     :meth:`~repro.engine.statistics.EvaluationStatistics.record_production`
     once per underlying emission: a tuple emitted ``k`` times this
     iteration contributes ``k`` derivations, all of them duplicates when
-    the tuple was already known (present in *known* — typically the
-    driver's accumulated ``RowSetBuilder`` — or produced by an earlier
-    pair), and ``k - 1`` duplicates otherwise.  New tuples are added to
-    *produced*.
+    the tuple was already known (present in *known*, the driver's
+    accumulated ``RowSetBuilder``), and ``k - 1`` duplicates otherwise.
 
     Implemented with bulk set operations: across the whole batch, the
     duplicates are exactly ``total emissions - |fresh distinct rows|``
     (every emission except the first of each fresh row re-derives a
-    known tuple), so no per-pair membership loop is needed when *known*
-    exposes a row set.
+    known tuple), so no per-pair membership loop is needed.
     """
     total = 0
     for _, count in pairs:
         total += count
     statistics.derivations += total
-    distinct = {row for row, _ in pairs}
-    if isinstance(known, RowSetBuilder):
-        fresh = distinct - known.rows
-    elif isinstance(known, (set, frozenset)):
-        fresh = distinct - known
-    else:
-        fresh = {row for row in distinct if row not in known}
-    if produced:
-        fresh -= produced
-    produced |= fresh
+    fresh = {row for row, _ in pairs} - known.rows
     statistics.duplicates += total - len(fresh)
+    return fresh

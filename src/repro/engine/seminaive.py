@@ -48,12 +48,13 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
     accumulated result lives in a :class:`RowSetBuilder` so each
     iteration costs ``O(|delta|)`` set maintenance, not ``O(|total|)``.
 
-    *config* (:class:`repro.engine.parallel.EvalConfig`) selects both
-    the per-rule executor — ``rows`` (slot-at-a-time) or ``batch``
-    (column-oriented, :mod:`repro.engine.vectorized`) — and the backend
-    each iteration's rule batch is scheduled on; the default is the
-    serial row-at-a-time compiled path.  Result relations and
-    derivation/duplicate statistics are identical for every combination.
+    *config* (:class:`repro.engine.parallel.EvalConfig`) selects the
+    mode — ``rows`` (slot-at-a-time), ``batch`` (column-oriented,
+    :mod:`repro.engine.vectorized`) or ``interned`` (the packed-id
+    closure) — and, for ``interned``, the backend each iteration's delta
+    is split across; the default is the serial row-at-a-time compiled
+    path.  Result relations and derivation/duplicate statistics are
+    identical for every combination.
     """
     rules = tuple(rules)
     statistics = statistics if statistics is not None else EvaluationStatistics()
@@ -112,9 +113,8 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
         while delta.rows and iterations < max_iterations:
             iterations += 1
             statistics.iterations += 1
-            produced: set = set()
             pairs = evaluator.execute_batch({predicate_name: delta}, statistics)
-            record_collapsed_productions(pairs, builder, produced, statistics)
+            produced = record_collapsed_productions(pairs, builder, statistics)
             new_rows = builder.add_all_new(produced)
             delta = Relation.from_canonical(predicate_name, initial.arity, new_rows)
             session.after_iteration(evaluator, None, len(delta),
@@ -163,10 +163,10 @@ def solve_linear_recursion(recursion: LinearRecursion, database: Database,
     """Solve ``P = A P ∪ Q`` for a whole linear recursion.
 
     The exit rules produce ``Q``; the recursive rules are then iterated
-    with semi-naive evaluation.  *config* selects both the per-rule
-    executor (``rows``/``batch``) and the scheduling backend for every
-    phase.  Returns the minimal model restricted to the recursive
-    predicate.
+    with semi-naive evaluation.  *config* selects the mode
+    (``rows``/``batch``/``interned``) for both phases and the backend of
+    the recursive one.  Returns the minimal model restricted to the
+    recursive predicate.
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     initial = evaluate_exit_rules(recursion, database, statistics, config=config)

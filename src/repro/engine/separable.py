@@ -45,11 +45,11 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
     literal reading of ``A1*(σ A2*)``.
 
     *config* (:class:`repro.engine.parallel.EvalConfig`) is forwarded to
-    both phases' semi-naive closures, so the per-rule executor
-    (``rows``/``batch``, optionally interned via ``intern=True``) and
-    the scheduling backend apply to both phases; interned configurations
-    run each phase as a packed-id closure on every backend
-    (shared-memory delta exchange on ``processes``).
+    both phases' semi-naive closures, so the mode
+    (``rows``/``batch``/``interned``) and the backend apply to both
+    phases; interned configurations run each phase as a packed-id
+    closure on every backend (shared-memory delta exchange on
+    ``processes``).
     """
     statistics = statistics if statistics is not None else EvaluationStatistics()
     statistics.initial_size = len(initial)

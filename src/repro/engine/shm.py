@@ -23,10 +23,9 @@ Wire formats
     suite; workers slice their range straight off the shared view and
     group/probe on it with no per-row decoding at all.
 ``flat``
-    ``arity`` ``int64`` digits per row, row-major — the PR-4
-    :meth:`~repro.storage.domain.InternedRelation.to_flat` layout.  The
-    fallback when packed values can overflow ``int64`` (huge domains ×
-    wide heads); workers rebuild columns as strided zero-copy slices.
+    ``arity`` ``int64`` digits per row, row-major.  The fallback when
+    packed values can overflow ``int64`` (huge domains × wide heads);
+    workers rebuild columns as strided zero-copy slices.
 
 Lifecycle
 ---------

@@ -59,7 +59,7 @@ from repro.exceptions import EvaluationError
 from repro.storage.database import Database
 from repro.storage.domain import Domain, IntIndex, InternedRelation
 from repro.storage.index import HashIndex
-from repro.storage.relation import Relation, Row, rows_added_since
+from repro.storage.relation import Relation, Row
 
 #: Key layouts a batch scan can carry (chosen at batch-compile time).
 _KEY_CONST = 0   #: every key position is a constant (possibly the empty key)
@@ -659,23 +659,16 @@ class _DeltaView:
 
 
 class InternedDeltaCache:
-    """Interned views of override (delta) relations, maintained incrementally.
+    """Interned views of override (delta) relations and their int indexes.
 
-    One cache lives for a whole fixpoint closure
-    (:class:`repro.engine.parallel.ParallelEvaluator` owns it on the
-    serial backend), so per-iteration override structures are *updated*
-    rather than rebuilt wherever the relation's extension lineage
-    (:meth:`repro.storage.relation.Relation.extended_with`) shows the
-    new override grew out of the previous one — the naive driver's
-    accumulating total is the canonical case.  Override generations
-    with no lineage (e.g. semi-naive deltas, which are disjoint between
-    iterations) are interned fresh, which costs the same
-    ``O(|override|)`` as before.
-
-    Views can also be seeded directly with an
-    :class:`~repro.storage.domain.InternedRelation` — this is how
-    process workers run on shipped flat buffers without ever decoding
-    them back to value rows.
+    The packed closure (:class:`repro.engine.parallel.PackedClosure`)
+    keeps one cache for its lifetime and hands every iteration's
+    override to it as an :class:`~repro.storage.domain.InternedRelation`
+    — plans within an iteration share the view and its indexes, and the
+    naive driver's append-only total keeps its indexes across
+    iterations (:meth:`index` extends them from the appended rows).  A
+    value-level :class:`~repro.storage.relation.Relation` override is
+    interned on first sight.
     """
 
     __slots__ = ("domain", "_views")
@@ -690,22 +683,10 @@ class InternedDeltaCache:
             return existing
         if isinstance(target, InternedRelation):
             view = _DeltaView(target, target)
-            self._views[target.name] = view
-            return view
-        if existing is not None and isinstance(existing.source, Relation):
-            added = rows_added_since(target, existing.source)
-            if added is not None:
-                interned = existing.interned
-                start = interned.length
-                interned.extend_with(added, self.domain)
-                for index in existing.indexes.values():
-                    index.extend_from_columns(interned.columns, start,
-                                              interned.length)
-                existing.source = target
-                return existing
-        view = _DeltaView(
-            target, InternedRelation.from_relation(target, self.domain)
-        )
+        else:
+            view = _DeltaView(
+                target, InternedRelation.from_relation(target, self.domain)
+            )
         self._views[target.name] = view
         return view
 
@@ -726,16 +707,12 @@ class InternedDeltaCache:
 
 def execute_interned(plan: CompiledRule, database: Database,
                      overrides: Optional[Mapping[str, Union[Relation, InternedRelation]]] = None,
-                     counters: Optional[JoinCounters] = None,
-                     deltas: Optional[InternedDeltaCache] = None
+                     counters: Optional[JoinCounters] = None
                      ) -> list[tuple[Row, int]]:
     """Run *plan* on interned ids; returns decoded ``(row, count)`` pairs.
 
     Drop-in equivalent of :func:`execute_batch`: the same collapsed
-    emission multiset, the same join counters.  *deltas* (optional)
-    carries override views across calls so a growing override is
-    maintained incrementally; without it a private cache is used for
-    this call only.
+    emission multiset, the same join counters.
     """
     counters = counters if counters is not None else JoinCounters()
     if plan.fact_row is not None:
@@ -743,7 +720,7 @@ def execute_interned(plan: CompiledRule, database: Database,
         return [(plan.fact_row, 1)]
     domain = database.domain()
     emissions, width_k = _execute_interned_packed(
-        plan, database, overrides, counters, deltas, domain
+        plan, database, overrides, counters, None, domain
     )
     pairs = list(Counter(emissions).items())
     return decode_packed_pairs(pairs, width_k, len(plan.head_template), domain)
@@ -793,59 +770,6 @@ def decode_packed_rows(packed_rows: Any, width_k: int, arity: int,
             packed, ids[i] = divmod(packed, width_k)
         rows.append(tuple(values[ident] for ident in ids))
     return frozenset(rows)
-
-
-def execute_interned_packed(plan: CompiledRule, database: Database,
-                            overrides: Optional[Mapping[str, Union[Relation, InternedRelation]]] = None,
-                            counters: Optional[JoinCounters] = None,
-                            deltas: Optional[InternedDeltaCache] = None,
-                            base_k: Optional[int] = None
-                            ) -> tuple[list[tuple[int, int]], int, int]:
-    """Like :func:`execute_interned` but without the final decode.
-
-    Returns ``(packed pairs, K, head arity)`` — the process backend
-    ships these to the parent as flat arrays and decodes there, and the
-    serial packed-closure loop keeps them packed across iterations.
-    *base_k* pins the packing base (it must be at least the domain size
-    once the plan's relations and constants are interned); the packed
-    closure uses this to keep one base across every iteration.
-    """
-    emissions, width_k, arity = execute_interned_emissions(
-        plan, database, overrides, counters, deltas, base_k
-    )
-    return list(Counter(emissions).items()), width_k, arity
-
-
-def execute_interned_emissions(plan: CompiledRule, database: Database,
-                               overrides: Optional[Mapping[str, Union[Relation, InternedRelation]]] = None,
-                               counters: Optional[JoinCounters] = None,
-                               deltas: Optional[InternedDeltaCache] = None,
-                               base_k: Optional[int] = None
-                               ) -> tuple[list[int], int, int]:
-    """The raw packed emission multiset of *plan* (uncollapsed).
-
-    Returns ``(emissions, K, head arity)``.  The packed closure consumes
-    this directly: its accounting needs only the emission total and the
-    distinct set, so skipping the Counter collapse saves a full pass.
-    """
-    counters = counters if counters is not None else JoinCounters()
-    if plan.fact_row is not None:
-        # Facts carry literal values; interning them here would be the
-        # only intern a fact plan ever needs, so short-circuit at the
-        # packed layer too by interning the fact row directly.
-        counters.tuples_emitted += 1
-        domain = database.domain()
-        ids = domain.intern_row(plan.fact_row)
-        width_k = base_k if base_k is not None else max(1, len(domain))
-        packed = 0
-        for ident in ids:
-            packed = packed * width_k + ident
-        return [packed], width_k, len(plan.fact_row)
-    domain = database.domain()
-    emissions, width_k = _execute_interned_packed(
-        plan, database, overrides, counters, deltas, domain, base_k
-    )
-    return emissions, width_k, len(plan.head_template)
 
 
 def execute_interned_into(plan: CompiledRule, database: Database,

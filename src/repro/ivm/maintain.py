@@ -47,7 +47,7 @@ Updates run in two phases per batch:
 
 All fixpoint propagation goes through
 :class:`~repro.engine.parallel.ParallelEvaluator`, so maintenance runs
-on any executor × backend combination, and the differential fuzzer
+under any mode and backend, and the differential fuzzer
 asserts the maintained ``(T, counters)`` bit-identical to a cold
 recompute after every batch.
 """

@@ -21,8 +21,7 @@ Three pieces live here:
 :class:`InternedRelation`
     A relation's canonical interned form: one ``array('q')`` per column,
     row-aligned.  Arrays hold machine-width ints in a flat buffer, so
-    an interned relation is compact in memory, cheap to ship to process
-    workers (an array pickles as raw bytes), and supports an
+    an interned relation is compact in memory and supports an
     *incremental append* path (:meth:`InternedRelation.extend_with`) so
     a growing relation's interned form is maintained from the new rows
     instead of rebuilt.
@@ -220,34 +219,6 @@ class InternedRelation:
                 column if isinstance(column, array) else array("q", column)
                 for column in self.columns
             )
-
-    @classmethod
-    def from_flat(cls, name: str, arity: int, flat: array,
-                  length: Optional[int] = None) -> "InternedRelation":
-        """Rebuild from a row-major flat id buffer (the wire format).
-
-        *length* is only needed for arity-0 relations, whose flat
-        buffer is empty regardless of row count.
-        """
-        if arity == 0:
-            return cls(name, 0, (), length if length is not None else 0)
-        if len(flat) % arity:
-            raise ValueError(
-                f"Flat buffer of {len(flat)} ids is not a multiple of "
-                f"arity {arity}"
-            )
-        length = len(flat) // arity
-        columns = tuple(flat[position::arity] for position in range(arity))
-        return cls(name, arity, columns, length)
-
-    def to_flat(self) -> array:
-        """Row-major flat id buffer (for shipping to process workers)."""
-        flat = array("q", bytes(8 * self.length * self.arity))
-        for position, column in enumerate(self.columns):
-            if not isinstance(column, array):
-                column = array("q", column)
-            flat[position::self.arity] = column
-        return flat
 
     def extend_with(self, rows: Iterable[Row], domain: Domain) -> None:
         """Append *rows* (interning their values) to every column."""

@@ -11,9 +11,8 @@ intra-rule delta partitioning.  This workload is deliberately *wide*:
 
   Every rule owns a private ``link<i>``/``mark<i>`` EDB pair, so rule
   applications touch pairwise disjoint EDB relations and share only the
-  per-iteration delta, which the parallel executor additionally
-  partitions by row — both axes of
-  :func:`repro.engine.parallel.partition_tasks` are exercised at once.
+  per-iteration delta, which the parallel backends additionally
+  partition by row — several partitionable plans per delta part.
 * The ``link<i>`` relations are a random deal of the edges of one
   layered DAG, so the fixpoint still converges in about ``layers``
   iterations and the union semantics stay those of plain reachability

@@ -487,7 +487,7 @@ class TestDurableConfig:
         assert config.spec() == "interned-serial-durable"
 
     def test_spec_roundtrip(self):
-        spec = "batch-threads-durable"
+        spec = "interned-threads-durable"
         assert EvalConfig.from_spec(spec).spec() == spec
 
     def test_durable_requires_maintain(self):

@@ -23,7 +23,7 @@ import pytest
 from repro.datalog.parser import parse_rule
 from repro.engine.faults import FaultEvent, FaultPlan, InjectedFault
 from repro.engine.naive import naive_closure
-from repro.engine.parallel import EvalConfig
+from repro.engine.parallel import EvalConfig, PackedClosure
 from repro.engine.seminaive import seminaive_closure
 from repro.engine.statistics import EvaluationStatistics, HealthReport
 from repro.exceptions import EvaluationError
@@ -155,21 +155,6 @@ class TestChaosParity:
         assert full_signature(statistics) == full_signature(reference_stats)
         assert plan.fired
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_rows_executor_parity_under_faults(self, backend):
-        """The non-packed (value-space) parallel path is supervised too."""
-        reference, reference_stats = run(seminaive_closure, None)
-        plan = FaultPlan([FaultEvent("task", "error", iteration=1,
-                                     task_index=0),
-                          FaultEvent("merge", "error", iteration=2)])
-        config = EvalConfig(backend=backend, max_workers=2, partitions=3,
-                            min_partition_rows=2, retry_backoff=0.0,
-                            fault_plan=plan)
-        relation, statistics = run(seminaive_closure, config)
-        assert relation.rows == reference.rows
-        assert full_signature(statistics) == full_signature(reference_stats)
-        assert plan.fired
-
     def test_three_runs_byte_identical_under_fixed_schedule(self):
         outcomes = set()
         for _ in range(3):
@@ -226,7 +211,16 @@ class TestHealthAccounting:
             chaos_config("threads", plan, task_timeout=0.05))
         assert statistics.health.task_timeouts >= 1
 
-    def test_forced_degradation_walks_the_ladder(self):
+    def test_forced_degradation_walks_the_ladder(self, monkeypatch):
+        """The floor of the ladder is the packed closure's serial step."""
+        rungs = []
+        run_serial = PackedClosure._run_serial
+
+        def spy(closure, *args):
+            rungs.append(closure.backend)
+            return run_serial(closure, *args)
+
+        monkeypatch.setattr(PackedClosure, "_run_serial", spy)
         plan = build_plan("forced-degrade")
         reference, reference_stats = run(seminaive_closure, None)
         relation, statistics = run(seminaive_closure,
@@ -237,6 +231,7 @@ class TestHealthAccounting:
             "processes->threads", "threads->serial",
         ]
         assert statistics.health.backend == "serial"
+        assert "serial" in rungs
 
     def test_clean_run_reports_nothing(self):
         _, statistics = run(seminaive_closure, chaos_config("threads"))

@@ -4,8 +4,7 @@ Covers the :mod:`repro.storage.domain` primitives (Domain,
 InternedRelation, IntIndex), the interned executor's parity with the
 batch/rows executors (results, derivation/duplicate statistics and
 low-level join counters, on every backend and every driver), the packed
-closure, incremental delta maintenance, and the interned ``explain``
-pipeline.
+closure, and the interned ``explain`` pipeline.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.engine.vectorized import (
     execute_batch,
     execute_interned,
     execute_interned_into,
-    execute_interned_packed,
 )
 from repro.exceptions import EvaluationError
 from repro.storage.database import Database
@@ -41,14 +39,11 @@ from repro.storage.relation import Relation
 from repro.storage.selection import EqualitySelection
 
 
-def interned_config(backend: str = "serial",
-                    incremental: bool = True) -> EvalConfig:
+def interned_config(backend: str = "serial") -> EvalConfig:
     if backend == "serial":
-        return EvalConfig(executor="batch", intern=True,
-                          incremental_deltas=incremental)
+        return EvalConfig(executor="batch", intern=True)
     return EvalConfig(executor="batch", intern=True, backend=backend,
-                      max_workers=2, partitions=3,
-                      incremental_deltas=incremental)
+                      max_workers=2, partitions=3)
 
 
 def run_seminaive(scenario: str, config: EvalConfig | None):
@@ -133,25 +128,12 @@ class TestInternedRelation:
         }
         assert rows == set(relation.rows)
 
-    def test_flat_round_trip(self):
-        domain = Domain()
-        relation = Relation.of("q", 3, [(1, 2, 3), (4, 5, 6)])
-        interned = InternedRelation.from_relation(relation, domain)
-        back = InternedRelation.from_flat("q", 3, interned.to_flat())
-        assert [list(column) for column in back.columns] == \
-            [list(column) for column in interned.columns]
-
-    def test_flat_rejects_ragged_buffer(self):
-        with pytest.raises(ValueError, match="multiple"):
-            InternedRelation.from_flat("q", 2, array("q", [1, 2, 3]))
-
     def test_arity_zero(self):
         domain = Domain()
         relation = Relation.of("n", 0, [()])
         interned = InternedRelation.from_relation(relation, domain)
         assert interned.length == 1
         assert interned.columns == ()
-        assert len(InternedRelation.from_flat("n", 0, array("q"), length=1)) == 1
 
     def test_extend_with_interns_new_rows(self):
         domain = Domain()
@@ -344,14 +326,13 @@ class TestExecutorParity:
         database = Database.of(Relation.of("q", 2, [(1, 5), (1, 6), (2, 5)]))
         plan = compile_rule(parse_rule("p(X) :- q(X, Y)."), database)
         pairs = execute_interned(plan, database)
-        packed_pairs, base_k, arity = execute_interned_packed(plan, database)
-        decoded = decode_packed_pairs(packed_pairs, base_k, arity,
-                                      database.domain())
-        assert sorted(decoded) == sorted(pairs)
         sink: set[int] = set()
-        total, base_k2, _ = execute_interned_into(plan, database, sink)
+        total, base_k, arity = execute_interned_into(plan, database, sink)
         assert total == sum(count for _, count in pairs)
-        assert len(sink) == len(pairs)
+        decoded = decode_packed_pairs([(packed, 1) for packed in sink],
+                                      base_k, arity, database.domain())
+        assert sorted(row for row, _ in decoded) == \
+            sorted(row for row, _ in pairs)
 
     def test_unsafe_equality_raises_only_when_reached(self):
         rule = parse_rule("p(X) :- q(X), Y = Z.")
@@ -372,8 +353,8 @@ class TestExecutorParity:
         database = Database.of(Relation.of("q", 1, [(1,)]))
         plan = compile_rule(parse_rule("p(X) :- q(X)."), database)
         with pytest.raises(EvaluationError, match="domain"):
-            execute_interned(plan, database,
-                             deltas=InternedDeltaCache(Domain()))
+            execute_interned_into(plan, database, set(),
+                                  deltas=InternedDeltaCache(Domain()))
 
     def test_interned_relation_override_runs_without_decoding(self):
         database = Database.of(Relation.of("edge", 2, [(0, 1), (1, 2)]))
@@ -413,17 +394,6 @@ class TestDriverParity:
         assert interned_rel.rows == rows_rel.rows
         assert stats_signature(interned_stats) == stats_signature(rows_stats)
 
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    def test_incremental_and_rebuild_agree(self, scenario):
-        incremental_rel, incremental_stats = run_seminaive(
-            scenario, interned_config()
-        )
-        rebuild_rel, rebuild_stats = run_seminaive(
-            scenario, interned_config(incremental=False)
-        )
-        assert incremental_rel.rows == rebuild_rel.rows
-        assert full_signature(incremental_stats) == full_signature(rebuild_stats)
-
     def test_three_interned_runs_identical(self):
         outcomes = []
         for _ in range(3):
@@ -445,10 +415,9 @@ class TestDriverParity:
             return relation, statistics
 
         rows_rel, rows_stats = run(None)
-        for config in (interned_config(), interned_config(incremental=False)):
-            interned_rel, interned_stats = run(config)
-            assert interned_rel.rows == rows_rel.rows
-            assert interned_stats.as_dict() == rows_stats.as_dict()
+        interned_rel, interned_stats = run(interned_config())
+        assert interned_rel.rows == rows_rel.rows
+        assert interned_stats.as_dict() == rows_stats.as_dict()
 
     def test_decomposed_interned_matches_rows(self, tc_rules):
         first, second = tc_rules

@@ -4,9 +4,9 @@ PR 4 proved the serial packed closure bit-identical to the value-space
 executors; this suite holds the thread backend (striped shared sink)
 and the process backend (shared-memory delta/result exchange) to the
 same bar: identical result relations, identical derivation/duplicate
-statistics, and identical low-level join counters, across every backend
-× ``incremental_deltas`` setting, on the grouped binary, grouped chain
-(3-atom, binary and 5-ary heads) and generic interned shapes — plus
+statistics, and identical low-level join counters, across every
+backend, on the grouped binary, grouped chain (3-atom, binary and 5-ary
+heads) and generic interned shapes — plus
 byte-identical 3-run determinism, both shared-memory wire formats, and
 the leak guarantees of the segment ring (including a worker crash
 mid-iteration).
@@ -49,15 +49,14 @@ PARALLEL_BACKENDS = ["threads", "processes"]
 BACKENDS = ["serial"] + PARALLEL_BACKENDS
 
 
-def packed_config(backend: str, incremental: bool = True,
-                  **kwargs) -> EvalConfig:
+def packed_config(backend: str, **kwargs) -> EvalConfig:
     """An interned config that actually partitions on this 1-CPU box."""
     extra = {}
     if backend != "serial":
         extra = {"max_workers": 2, "partitions": 3, "min_partition_rows": 2}
     extra.update(kwargs)
     return EvalConfig(executor="batch", intern=True, backend=backend,
-                      incremental_deltas=incremental, **extra)
+                      **extra)
 
 
 # ----------------------------------------------------------------------
@@ -127,33 +126,29 @@ def run_closure(closure, scenario: str, config):
 
 
 # ----------------------------------------------------------------------
-# Parity: backends × incremental_deltas × shapes, full counters
+# Parity: backends × shapes, full counters
 # ----------------------------------------------------------------------
 
 
 class TestPackedParity:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_seminaive_bit_identical_to_rows(self, scenario, backend,
-                                             incremental):
+    def test_seminaive_bit_identical_to_rows(self, scenario, backend):
         reference, reference_stats = run_closure(
             seminaive_closure, scenario, None
         )
         relation, statistics = run_closure(
-            seminaive_closure, scenario, packed_config(backend, incremental)
+            seminaive_closure, scenario, packed_config(backend)
         )
         assert relation.rows == reference.rows
         assert full_signature(statistics) == full_signature(reference_stats)
 
     @pytest.mark.parametrize("scenario", ["layered-tc", "wide-chain", "wide5"])
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_naive_bit_identical_to_rows(self, scenario, backend,
-                                         incremental):
+    def test_naive_bit_identical_to_rows(self, scenario, backend):
         reference, reference_stats = run_closure(naive_closure, scenario, None)
         relation, statistics = run_closure(
-            naive_closure, scenario, packed_config(backend, incremental)
+            naive_closure, scenario, packed_config(backend)
         )
         assert relation.rows == reference.rows
         assert full_signature(statistics) == full_signature(reference_stats)
@@ -214,18 +209,6 @@ class TestPackedParity:
                 packed.step_seminaive(statistics)
             relation = packed.freeze()
             statistics.result_size = len(relation)
-        assert relation.rows == reference.rows
-        assert full_signature(statistics) == full_signature(reference_stats)
-
-    def test_legacy_pickled_exchange_still_agrees(self):
-        """``shared_memory=False`` falls back to the PR-4 process path."""
-        reference, reference_stats = run_closure(
-            seminaive_closure, "wide5", None
-        )
-        relation, statistics = run_closure(
-            seminaive_closure, "wide5",
-            packed_config("processes", shared_memory=False),
-        )
         assert relation.rows == reference.rows
         assert full_signature(statistics) == full_signature(reference_stats)
 

@@ -1,14 +1,17 @@
-"""Tests for the parallel batched executor (repro.engine.parallel).
+"""Tests for the evaluation matrix of ``repro.engine.parallel``.
 
-The correctness bar: every backend (``serial``, ``threads``,
+The correctness bar: every valid ``mode × backend`` cell (``rows`` and
+``batch`` on ``serial``; ``interned`` on ``serial``, ``threads`` and
 ``processes``) must produce the identical result relation and identical
-derivation/duplicate statistics as the plain serial compiled path, on
-every scenario — and repeated runs of one backend must be byte-identical
-and statistically identical (executor determinism).
+Theorem-3.1 statistics as the interpreted oracle, every invalid cell
+must be rejected at construction, and repeated runs must be
+byte-identical.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import pickle
 import random
 
@@ -16,13 +19,9 @@ import pytest
 
 from repro.datalog.parser import parse_rule
 from repro.engine.naive import naive_closure
-from repro.engine.parallel import (
-    EvalConfig,
-    ParallelEvaluator,
-    partition_tasks,
-    split_relation,
-)
+from repro.engine.parallel import BACKENDS, EvalConfig, ParallelEvaluator
 from repro.engine.plan import compile_rule
+from repro.engine.reference import seminaive_closure_interpreted
 from repro.engine.seminaive import seminaive_closure
 from repro.engine.separable import separable_evaluate
 from repro.engine.decomposed import decomposed_closure
@@ -33,13 +32,15 @@ from repro.storage.selection import EqualitySelection
 from repro.workloads.graphs import layered_dag_edges
 from repro.workloads.wide import wide_multirule_workload
 
-BACKENDS = ["serial", "threads", "processes"]
+MODES = ["rows", "batch", "interned"]
 
 
 def config_for(backend: str) -> EvalConfig | None:
+    """The default path on ``serial``, the packed closure on a pool."""
     if backend == "serial":
         return None
-    return EvalConfig(backend=backend, max_workers=2, partitions=3)
+    return EvalConfig(executor="batch", intern=True, backend=backend,
+                      max_workers=2, partitions=3)
 
 
 # ----------------------------------------------------------------------
@@ -118,19 +119,69 @@ def stats_signature(statistics: EvaluationStatistics):
 
 
 # ----------------------------------------------------------------------
-# Backend parity
+# The mode × backend grid
+# ----------------------------------------------------------------------
+
+
+def theorem_signature(relation: Relation, statistics: EvaluationStatistics):
+    return (relation.rows, statistics.derivations, statistics.duplicates,
+            statistics.iterations)
+
+
+class TestModeBackendGrid:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cell_matches_oracle_or_is_rejected(self, mode, backend):
+        spec = f"{mode}-{backend}"
+        executor = "rows" if mode == "rows" else "batch"
+        keywords = dict(executor=executor, intern=mode == "interned",
+                        backend=backend, max_workers=2, partitions=3)
+        if mode != "interned" and backend != "serial":
+            for build in (lambda: EvalConfig(**keywords),
+                          lambda: EvalConfig.from_spec(spec)):
+                with pytest.raises(ValueError, match=f"interned-{backend}"):
+                    build()
+            return
+        assert EvalConfig.from_spec(spec, max_workers=2, partitions=3) \
+            == EvalConfig(**keywords)
+        rules, database, initial = scenario_two_sided_paths()
+        oracle_stats = EvaluationStatistics()
+        oracle = seminaive_closure_interpreted(
+            rules, initial, Database(dict(database.relations)), oracle_stats)
+        stats = EvaluationStatistics()
+        relation = seminaive_closure(
+            rules, initial, Database(dict(database.relations)), stats,
+            config=EvalConfig(**keywords))
+        assert theorem_signature(relation, stats) \
+            == theorem_signature(oracle, oracle_stats)
+
+    def test_escape_hatches_are_gone(self):
+        """The exchange, delta-maintenance and checksum knobs have no field,
+        so naming one — like any unknown keyword — is a ``TypeError``."""
+        assert {field.name for field in dataclasses.fields(EvalConfig)} == {
+            "executor", "backend", "max_workers", "partitions",
+            "min_partition_rows", "intern", "task_timeout", "deadline",
+            "max_retries", "retry_backoff", "on_failure", "fault_plan",
+            "maintain", "durable", "planner", "replan_ratio",
+        }
+        with pytest.raises(TypeError):
+            EvalConfig(pickled_exchange=True)
+        with pytest.raises(TypeError):
+            EvalConfig.from_spec("interned-processes", pickled_exchange=True)
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_backend_as_executor_is_rejected(self, backend):
+        with pytest.raises(ValueError, match=f"interned-{backend}"):
+            EvalConfig(executor=backend)
+        with pytest.raises(ValueError, match=f"interned-{backend}"):
+            EvalConfig.from_spec("", executor=backend)
+
+# ----------------------------------------------------------------------
+# Backend parity through the other drivers
 # ----------------------------------------------------------------------
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_seminaive_matches_serial(self, scenario, backend):
-        serial_rel, serial_stats = run_seminaive(scenario, "serial")
-        parallel_rel, parallel_stats = run_seminaive(scenario, backend)
-        assert parallel_rel.rows == serial_rel.rows
-        assert stats_signature(parallel_stats) == stats_signature(serial_stats)
-
     @pytest.mark.parametrize("backend", ["threads"])
     def test_naive_matches_serial(self, backend):
         rules, database, initial = scenario_layered_tc()
@@ -208,11 +259,10 @@ class TestBackendParity:
 
 class TestExecutorDeterminism:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_three_runs_identical(self, scenario, backend):
+    def test_three_runs_identical(self, scenario):
         outcomes = []
         for _ in range(3):
-            relation, statistics = run_seminaive(scenario, backend)
+            relation, statistics = run_seminaive(scenario, "serial")
             canonical = repr(relation.sorted_rows()).encode()
             outcomes.append((canonical, stats_signature(statistics)))
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -246,82 +296,23 @@ class TestEvalConfig:
         assert config.resolved_partitions() == config.resolved_workers()
 
     def test_explicit_resolution(self):
-        config = EvalConfig(backend="threads", max_workers=3)
+        config = EvalConfig.from_spec("interned-threads", max_workers=3)
         assert config.is_parallel()
         assert config.resolved_workers() == 3
         assert config.resolved_partitions() == 3
         assert EvalConfig(max_workers=2, partitions=5).resolved_partitions() == 5
 
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        """Not ``os.cpu_count()``: that is the host's count in a container."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert EvalConfig().resolved_workers() == 3
 
-# ----------------------------------------------------------------------
-# Partitioner
-# ----------------------------------------------------------------------
-
-
-class TestPartitioner:
-    def test_split_relation_covers_and_disjoint(self):
-        relation = Relation.of("d", 2, [(i, i + 1) for i in range(20)])
-        parts = split_relation(relation, 4)
-        assert 1 < len(parts) <= 4
-        union = frozenset().union(*(part.rows for part in parts))
-        assert union == relation.rows
-        assert sum(len(part) for part in parts) == len(relation)
-
-    def test_split_relation_small_or_single(self):
-        relation = Relation.of("d", 1, [(1,)])
-        assert split_relation(relation, 4) == [relation]
-        assert split_relation(relation, 1) == [relation]
-
-    def test_same_delta_rules_grouped_per_partition(self):
-        plans = [
-            compile_rule(parse_rule("p(X, Y) :- p(U, Y), q(X, U).")),
-            compile_rule(parse_rule("p(X, Y) :- p(X, V), r(V, Y).")),
-        ]
-        delta = Relation.of("p", 2, [(i, i) for i in range(16)])
-        tasks = partition_tasks(plans, {"p": delta}, partitions=4)
-        # One task per partition, each carrying both plans.
-        assert all(task.plan_indices == (0, 1) for task in tasks)
-        assert 1 < len(tasks) <= 4
-        covered = frozenset().union(
-            *(task.overrides["p"].rows for task in tasks)
-        )
-        assert covered == delta.rows
-
-    def test_nonlinear_delta_rule_is_not_partitioned(self):
-        plans = [compile_rule(parse_rule("p(X, Y) :- p(X, U), p(U, Y)."))]
-        delta = Relation.of("p", 2, [(i, i + 1) for i in range(16)])
-        tasks = partition_tasks(plans, {"p": delta}, partitions=4)
-        assert len(tasks) == 1
-        assert tasks[0].partition_index == -1
-        assert tasks[0].overrides["p"] is delta
-
-    def test_small_delta_is_not_partitioned(self):
-        plans = [compile_rule(parse_rule("p(X, Y) :- p(U, Y), q(X, U)."))]
-        delta = Relation.of("p", 2, [(0, 0), (1, 1), (2, 2)])
-        tasks = partition_tasks(plans, {"p": delta}, partitions=4,
-                                min_partition_rows=8)
-        assert len(tasks) == 1
-        assert tasks[0].partition_index == -1
-
-    def test_disjoint_delta_rules_form_separate_groups(self):
-        plans = [
-            compile_rule(parse_rule("a(X, Y) :- a(U, Y), q(X, U).")),
-            compile_rule(parse_rule("b(X, Y) :- b(U, Y), q(X, U).")),
-        ]
-        overrides = {
-            "a": Relation.of("a", 2, [(i, i) for i in range(8)]),
-            "b": Relation.of("b", 2, [(i, i) for i in range(8)]),
-        }
-        tasks = partition_tasks(plans, overrides, partitions=2)
-        groups = {task.plan_indices for task in tasks}
-        assert groups == {(0,), (1,)}
-
-    def test_rule_without_delta_runs_whole(self):
-        plans = [compile_rule(parse_rule("p(X, Y) :- q(X, U), r(U, Y)."))]
-        delta = Relation.of("s", 2, [(i, i) for i in range(16)])
-        tasks = partition_tasks(plans, {"s": delta}, partitions=4)
-        assert len(tasks) == 1
-        assert tasks[0].overrides["s"] is delta
+    def test_default_workers_without_affinity_support(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert EvalConfig().resolved_workers() == 5
 
 
 # ----------------------------------------------------------------------
@@ -341,12 +332,19 @@ class TestShareability:
         assert clone.index("edge", 2, (0,)).lookup((0,)) == [(0, 1)]
 
     def test_evaluator_context_reusable_per_closure(self):
+        """One pool serves any number of packed closures."""
         rules, database, initial = scenario_layered_tc()
         plans = [compile_rule(rule, database) for rule in rules]
-        config = EvalConfig(backend="threads", max_workers=2)
-        with ParallelEvaluator(plans, database, config) as evaluator:
+        results = []
+        with ParallelEvaluator(plans, database,
+                               config_for("threads")) as evaluator:
             stats = EvaluationStatistics()
-            first = evaluator.execute_batch({"path": initial}, stats)
-            second = evaluator.execute_batch({"path": initial}, stats)
-        assert sorted(first) == sorted(second)
-        assert stats.rule_applications == 2 * len(plans)
+            for _ in range(2):
+                packed = evaluator.packed_closure(initial)
+                while packed.delta_size():
+                    packed.step_seminaive(stats)
+                results.append(packed.freeze().rows)
+        serial_rel, serial_stats = run_seminaive("layered-tc", "serial")
+        assert results == [serial_rel.rows, serial_rel.rows]
+        assert stats.derivations == 2 * serial_stats.derivations
+        assert stats.rule_applications == 2 * serial_stats.rule_applications

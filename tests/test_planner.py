@@ -194,7 +194,7 @@ class TestCatalog:
 class TestEvalConfigKnob:
     def test_spec_round_trip(self):
         for spec in ("rows-costed", "interned-adaptive",
-                     "batch-threads-costed"):
+                     "interned-threads-costed"):
             config = EvalConfig.from_spec(spec)
             assert EvalConfig.from_spec(config.spec()) == config
         assert EvalConfig.from_spec("interned-costed").planner == "costed"
@@ -246,8 +246,8 @@ class TestPlanProgram:
         assert any("commute" in note for note in stats.planner.notes)
 
 
-SPECS = ("rows", "batch", "interned", "rows-threads", "batch-threads",
-         "interned-threads", "rows-processes", "interned-processes")
+SPECS = ("rows", "batch", "interned", "interned-threads",
+         "interned-processes")
 
 
 class TestParity:

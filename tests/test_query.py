@@ -61,17 +61,14 @@ TC_RIGHT = (
     "path(X, Y) :- edge(X, Y)."
 )
 
-#: Every executor × backend combination (the serial modes plus one
-#: parallel config per backend; interned-processes exercises the
-#: shared-memory packed path).
+#: Every mode × backend combination (the serial modes plus the packed
+#: closure on each parallel backend).
 ALL_CONFIGS = [
     None,
     EvalConfig.from_spec("rows"),
     EvalConfig.from_spec("batch"),
     EvalConfig.from_spec("interned"),
-    EvalConfig.from_spec("rows-threads"),
-    EvalConfig.from_spec("batch-threads"),
-    EvalConfig.from_spec("rows-processes"),
+    EvalConfig.from_spec("interned-threads"),
     EvalConfig.from_spec("interned-processes"),
 ]
 #: The cheap subset for property sweeps (no pool startup per example).
@@ -706,7 +703,7 @@ class TestQueryEngine:
 
 
 # ----------------------------------------------------------------------
-# Parity across every executor × backend
+# Parity across every mode × backend
 # ----------------------------------------------------------------------
 
 
@@ -820,9 +817,8 @@ class TestSolveApi:
         ("", "rows", "serial"),
         ("batch", "batch", "serial"),
         ("interned", "interned", "serial"),
-        ("threads", "rows", "threads"),
+        ("threads-interned", "interned", "threads"),
         ("interned-processes", "interned", "processes"),
-        ("processes-batch", "batch", "processes"),
     ])
     def test_from_spec(self, spec, mode, backend):
         config = EvalConfig.from_spec(spec)
@@ -831,6 +827,7 @@ class TestSolveApi:
         assert config.spec() == EvalConfig.from_spec(config.spec()).spec()
 
     @pytest.mark.parametrize("spec", ["rows-batch", "threads-serial",
+                                      "threads", "processes-batch",
                                       "warp", "rows--"])
     def test_from_spec_rejects(self, spec):
         if spec == "rows--":
@@ -844,12 +841,5 @@ class TestSolveApi:
         with pytest.raises(ValueError, match="twice"):
             EvalConfig.from_spec("threads", backend="processes")
         assert EvalConfig.from_spec(
-            "threads", max_workers=2
+            "interned-threads", max_workers=2
         ).max_workers == 2
-
-    def test_from_spec_emits_no_deprecation_warning(self):
-        import warnings
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EvalConfig.from_spec("rows-threads")
-        assert not caught

@@ -3,8 +3,8 @@
 The correctness bar: ``EvalConfig(executor="batch")`` must produce the
 identical result relation, identical derivation/duplicate statistics,
 and identical low-level join counters as the slot executor, on every
-scenario and on every backend (``serial``/``threads``/``processes``) —
-and repeated batch runs must be byte-identical (executor determinism).
+scenario — and repeated batch runs must be byte-identical (executor
+determinism).
 """
 
 from __future__ import annotations
@@ -29,11 +29,8 @@ from repro.storage.relation import Relation
 from repro.storage.selection import EqualitySelection
 
 
-def batch_config(backend: str = "serial") -> EvalConfig:
-    if backend == "serial":
-        return EvalConfig(executor="batch")
-    return EvalConfig(executor="batch", backend=backend, max_workers=2,
-                      partitions=3)
+def batch_config() -> EvalConfig:
+    return EvalConfig(executor="batch")
 
 
 def run_seminaive(scenario: str, config: EvalConfig | None):
@@ -65,14 +62,6 @@ class TestBatchParity:
         # Bit-identical statistics, probe counters included.
         assert batch_stats.as_dict() == rows_stats.as_dict()
         assert full_signature(batch_stats) == full_signature(rows_stats)
-
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_batch_composes_with_parallel_backends(self, scenario, backend):
-        rows_rel, rows_stats = run_seminaive(scenario, None)
-        batch_rel, batch_stats = run_seminaive(scenario, batch_config(backend))
-        assert batch_rel.rows == rows_rel.rows
-        assert stats_signature(batch_stats) == stats_signature(rows_stats)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_three_batch_runs_identical(self, scenario):
@@ -325,7 +314,7 @@ class TestExplainBatch:
 
 
 # ----------------------------------------------------------------------
-# EvalConfig validation and round-trip
+# EvalConfig validation
 # ----------------------------------------------------------------------
 
 
@@ -342,36 +331,15 @@ class TestEvalConfigExecutor:
         assert not config.is_parallel()
 
     def test_batch_executor_accepted(self):
-        config = EvalConfig(executor="batch", backend="processes")
+        config = EvalConfig(executor="batch")
         assert config.batched()
-        assert config.is_parallel()
+        assert not config.is_parallel()
 
     def test_unknown_executor_and_backend_rejected(self):
         with pytest.raises(ValueError):
             EvalConfig(executor="gpu")
         with pytest.raises(ValueError):
             EvalConfig(backend="gpu")
-
-    def test_legacy_backend_as_executor_normalised(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            config = EvalConfig(executor="threads", max_workers=2)
-        assert config.backend == "threads"
-        assert config.executor == "rows"
-        assert config.is_parallel()
-
-    def test_ambiguous_legacy_mix_rejected(self):
-        with pytest.raises(ValueError, match="twice"):
-            EvalConfig(executor="threads", backend="processes")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_round_trip_backends_with_batch(self, backend):
-        """EvalConfig(executor='batch') survives the full driver path."""
-        rows_rel, rows_stats = run_seminaive("two-sided-paths", None)
-        batch_rel, batch_stats = run_seminaive(
-            "two-sided-paths", batch_config(backend)
-        )
-        assert batch_rel.rows == rows_rel.rows
-        assert stats_signature(batch_stats) == stats_signature(rows_stats)
 
 
 # ----------------------------------------------------------------------
