@@ -73,6 +73,19 @@ relations must be bit-identical to an uncrashed twin that committed
 exactly the durable prefix.  Recovery accounting joins the
 ``--health-file`` artifact as ``durable-wal`` entries.
 
+With ``--analysis-seeds N``, the first ``N`` seeds additionally fuzz
+the paper's analysis for renaming invariance: the seed's rules (a
+rulegen rule or pair, or a template) are put under one random bijective
+renaming of their variables and non-equality predicates, and
+:func:`~repro.core.redundancy.find_redundant_predicates` (predicate
+names mapped back), :func:`~repro.algebra.properties.boundedness_witness`
+and, for pairs, ``commute`` / ``commute_polynomial`` / ``is_separable``
+must give the same answers on both.  The renamed run starts from an
+empty witness memo and the original run is repeated after clearing it
+again, so the memo's canonical-form key is checked against fresh
+searches on both spellings; every memoised witness must also equal a
+direct, unmemoised search on the rule as spelled.
+
 All engines must agree on the result relation, the derivation count,
 the duplicate count and the iteration count (the Theorem 3.1
 accounting); any disagreement prints the offending seed and program and
@@ -94,6 +107,9 @@ Usage::
                                                            # query parity
     python benchmarks/fuzz_differential.py --ivm-seeds 10  # + maintained-vs-
                                                            # recomputed parity
+    python benchmarks/fuzz_differential.py --analysis-seeds 40
+                                                           # + analysis renaming
+                                                           # invariance
     python benchmarks/fuzz_differential.py --fault-seeds 5 \
         --health-file fuzz-health.json                     # + chaos sweep
     python benchmarks/fuzz_differential.py --failures-file fuzz-failures.txt
@@ -124,8 +140,16 @@ from repro.engine.reference import seminaive_closure_interpreted  # noqa: E402
 from repro.engine.seminaive import seminaive_closure  # noqa: E402
 from repro.engine.statistics import EvaluationStatistics  # noqa: E402
 from repro.datalog.programs import LinearRecursion  # noqa: E402
+from repro.algebra.properties import (  # noqa: E402
+    _canonical_witness,
+    boundedness_witness,
+    default_horizon,
+)
+from repro.core.commutativity import commute, commute_polynomial  # noqa: E402
+from repro.core.redundancy import find_redundant_predicates  # noqa: E402
+from repro.core.separability import is_separable  # noqa: E402
 from repro.engine.api import solve  # noqa: E402
-from repro.exceptions import NotApplicableError  # noqa: E402
+from repro.exceptions import NotApplicableError, RuleStructureError  # noqa: E402
 from repro.ivm import MaterializedProgram  # noqa: E402
 from repro.query import Query, QueryEngine, magic_rewrite  # noqa: E402
 from repro.storage.database import Database  # noqa: E402
@@ -342,6 +366,115 @@ def check_disconnected(rng: random.Random) -> list[str]:
         mismatches += _tier_mismatches(
             primed.with_database(changed), queries, after,
             f"{predicate.name} sibling after swapping {swapped}")
+    return mismatches
+
+
+def rename_bijectively(rules: tuple[Rule, ...], rng: random.Random
+                       ) -> tuple[tuple[Rule, ...], dict[str, str]]:
+    """*rules* under one random bijective renaming of their variables and
+    of every predicate but equality; returns the renamed rules and the
+    map from new predicate names back to the old ones."""
+    variables = sorted({var for rule in rules for var in rule.variables()})
+    predicates = sorted({atom.predicate for rule in rules
+                         for atom in (rule.head, *rule.body)
+                         if not atom.is_equality()})
+    variable_names = [f"R{index}" for index in range(len(variables))]
+    predicate_names = [f"s{index}" for index in range(len(predicates))]
+    rng.shuffle(variable_names)
+    rng.shuffle(predicate_names)
+    variable_map = {old: Variable(new)
+                    for old, new in zip(variables, variable_names)}
+    predicate_map = {old: Predicate(new, old.arity)
+                     for old, new in zip(predicates, predicate_names)}
+
+    def rename(atom: Atom) -> Atom:
+        return Atom(predicate_map.get(atom.predicate, atom.predicate),
+                    tuple(variable_map.get(term, term)
+                          for term in atom.arguments))
+
+    renamed = tuple(Rule(rename(rule.head), tuple(map(rename, rule.body)))
+                    for rule in rules)
+    return renamed, {new.name: old.name for old, new in predicate_map.items()}
+
+
+def _outcome(compute):
+    """*compute()*, or the name of the analysis error it raised."""
+    try:
+        return compute()
+    except (NotApplicableError, RuleStructureError) as error:
+        return type(error).__name__
+
+
+def analysis_signature(rules: tuple[Rule, ...], name_back=lambda name: name):
+    """What the paper's analysis says about *rules*, in renaming-free terms.
+
+    *name_back* maps reported predicate names to the caller's spelling.
+    """
+    signature: list = []
+    for rule in rules:
+        signature.append(_outcome(lambda: sorted(
+            (name_back(finding.predicate_name), finding.witness.low,
+             finding.witness.high, finding.witness.equal)
+            for finding in find_redundant_predicates(rule))))
+        signature.append(_outcome(lambda: boundedness_witness(rule)))
+        signature.append(_outcome(
+            lambda: boundedness_witness(rule, require_equality=True)))
+    if len(rules) == 2:
+        first, second = rules
+        signature.append(_outcome(lambda: commute(first, second)))
+        signature.append(_outcome(lambda: commute_polynomial(first, second)))
+        report = _outcome(lambda: is_separable(first, second))
+        signature.append(report if isinstance(report, str) else (
+            report.condition_1, report.condition_2, report.condition_3,
+            report.condition_4, report.disjoint_nonrecursive_variables))
+    return signature
+
+
+def _direct_witness(rule: Rule, require_equality: bool = False):
+    """The power search on *rule* as spelled: no memo, no canonical form."""
+    return _canonical_witness.__wrapped__(rule, default_horizon(rule),
+                                          require_equality)
+
+
+def check_analysis(rules: tuple[Rule, ...], rng: random.Random) -> list[str]:
+    """Renaming invariance of the analysis, memo cleared and warm.
+
+    The renamed rules are analysed from an empty witness memo, the
+    original rules then hit the entries the renamed run stored, and the
+    original rules are analysed once more after clearing the memo.
+    Every memoised witness — of each rule and of each redundancy
+    finding's wide rule — must also equal a direct search on the rule
+    as spelled, which a too-coarse canonical form would fail.
+    """
+    renamed, names_back = rename_bijectively(rules, rng)
+    boundedness_witness.cache_clear()
+    fresh_renamed = analysis_signature(renamed, names_back.__getitem__)
+    warm = analysis_signature(rules)
+    boundedness_witness.cache_clear()
+    fresh = analysis_signature(rules)
+    mismatches = []
+    if fresh_renamed != fresh:
+        mismatches.append(
+            f"analysis differs under a bijective renaming "
+            f"({'; '.join(map(str, renamed))}): {fresh_renamed} != {fresh}")
+    if warm != fresh:
+        mismatches.append(
+            f"analysis through the warm witness memo differs from a fresh "
+            f"one: {warm} != {fresh}")
+    checked = [(rule, equality) for rule in (*rules, *renamed)
+               for equality in (False, True)]
+    for rule in (*rules, *renamed):
+        findings = _outcome(lambda: find_redundant_predicates(rule))
+        if not isinstance(findings, str):
+            checked += [(finding.wide_rule, False) for finding in findings]
+    for rule, equality in checked:
+        memoised = _outcome(lambda: boundedness_witness(
+            rule, require_equality=equality))
+        direct = _outcome(lambda: _direct_witness(rule, equality))
+        if memoised != direct:
+            mismatches.append(
+                f"memoised witness {memoised} != direct search {direct} "
+                f"for {rule} (require_equality={equality})")
     return mismatches
 
 
@@ -632,6 +765,7 @@ def run_seed(seed: int, max_iterations: int,
              query_sweep: bool = False,
              ivm_sweep: bool = False,
              wal_sweep: bool = False,
+             analysis_sweep: bool = False,
              health_sink: list | None = None) -> tuple[bool, str]:
     """Run one fuzz case; returns (ok, description)."""
     rng = random.Random(seed)
@@ -673,6 +807,13 @@ def run_seed(seed: int, max_iterations: int,
                 "fired": [list(hit) for hit in config.fault_plan.fired],
                 **stats.health.as_dict(),
             })
+
+    if analysis_sweep:
+        # Its own stream, so enabling this leg shifts no other leg.
+        analysis_mismatches = check_analysis(
+            rules, random.Random(f"analysis:{seed}"))
+        if analysis_mismatches:
+            return False, f"{description}\n    " + "; ".join(analysis_mismatches)
 
     if query_sweep:
         query_mismatches = check_queries(
@@ -749,6 +890,14 @@ def main(argv=None) -> int:
                              "recovered state bit-identical to an uncrashed "
                              "twin of the durable prefix (default 0: no "
                              "crash-recovery parity)")
+    parser.add_argument("--analysis-seeds", type=int, default=0,
+                        help="additionally check, on the first N seeds of "
+                             "the range, that redundancy findings, "
+                             "boundedness witnesses and (for pairs) "
+                             "commutativity and separability are unchanged "
+                             "by a random bijective renaming of variables "
+                             "and predicates, and by clearing the witness "
+                             "memo (default 0: no analysis invariance)")
     parser.add_argument("--max-iterations", type=int, default=10_000)
     parser.add_argument("--verbose", action="store_true",
                         help="print every generated program")
@@ -771,6 +920,7 @@ def main(argv=None) -> int:
         queries = seed - args.base_seed < args.query_seeds
         ivm = seed - args.base_seed < args.ivm_seeds
         wal = seed - args.base_seed < args.wal_seeds
+        analysis = seed - args.base_seed < args.analysis_seeds
         swept += sweep
         ok, description = run_seed(seed, args.max_iterations,
                                    sweep_backends=sweep,
@@ -778,6 +928,7 @@ def main(argv=None) -> int:
                                    query_sweep=queries,
                                    ivm_sweep=ivm,
                                    wal_sweep=wal,
+                                   analysis_sweep=analysis,
                                    health_sink=chaos_runs)
         if args.verbose or not ok:
             status = "ok  " if ok else "FAIL"
@@ -785,6 +936,7 @@ def main(argv=None) -> int:
             matrix += " [query parity]" if queries else ""
             matrix += " [ivm parity]" if ivm else ""
             matrix += " [wal crash-recovery parity]" if wal else ""
+            matrix += " [analysis renaming invariance]" if analysis else ""
             print(f"seed={seed:5d} {status} {description}{matrix}")
         if not ok:
             failures.append((seed, description))
@@ -834,11 +986,16 @@ def main(argv=None) -> int:
         f"{min(args.wal_seeds, args.seeds)}"
         if args.wal_seeds else ""
     )
+    analysis_note = (
+        f"; analysis renaming invariance on the first "
+        f"{min(args.analysis_seeds, args.seeds)}"
+        if args.analysis_seeds else ""
+    )
     print(
         f"ok: {args.seeds} random programs agree across interpreted, "
         f"compiled, batch and interned executors "
         f"(seeds {args.base_seed}..{args.base_seed + args.seeds - 1}"
-        f"{matrix_note}{ivm_note}{wal_note})"
+        f"{matrix_note}{ivm_note}{wal_note}{analysis_note})"
     )
     return 0
 

@@ -5,102 +5,173 @@ homomorphism ``f : r -> s`` maps the variables of ``r`` to terms of ``s``
 such that (i) distinguished variables are fixed, and (ii) every body atom
 of ``r`` is mapped onto a body atom of ``s``.
 
-The search is a backtracking matcher over body atoms, ordered so that the
-most constrained atoms (fewest candidate images) are matched first.
-Constants map to themselves.
+The search is a constraint-satisfaction backtracker over integer ids.
+Each call interns the target's terms, then indexes its distinct body
+atoms once: by predicate, by ``(predicate, position, term)``, and as a
+set of ground tuples.  At every step the remaining source atom with the
+fewest indexed candidates under the current bindings is matched next
+(a fully bound atom has at most one candidate, an atom with a bound
+term that no target atom carries at that position has none, so the
+search fails as soon as any remaining atom becomes unmatchable).
+Bindings live in one array with an undo trail; nothing is copied per
+candidate.  Constants map to themselves.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.datalog.atoms import Atom
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Term, Variable
 
 
-def _candidate_images(atom: Atom, target_atoms: tuple[Atom, ...]) -> list[Atom]:
-    """Body atoms of the target with the same predicate as *atom*."""
-    return [candidate for candidate in target_atoms if candidate.predicate == atom.predicate]
+def homomorphisms(source: Rule, target: Rule) -> Iterator[dict[Variable, Term]]:
+    """Yield every homomorphism from *source* to *target*, each exactly once.
 
-
-def _try_extend(mapping: dict[Variable, Term], source: Atom, image: Atom
-                ) -> Optional[dict[Variable, Term]]:
-    """Extend *mapping* so that *source* maps onto *image*, or return None."""
-    extended = dict(mapping)
-    for src_term, img_term in zip(source.arguments, image.arguments):
-        if isinstance(src_term, Variable):
-            bound = extended.get(src_term)
-            if bound is None:
-                extended[src_term] = img_term
-            elif bound != img_term:
-                return None
-        elif src_term != img_term:
-            # Constants must map to themselves.
-            return None
-    return extended
-
-
-def _search(source_atoms: list[Atom], target_atoms: tuple[Atom, ...],
-            mapping: dict[Variable, Term]) -> Iterator[dict[Variable, Term]]:
-    """Yield all extensions of *mapping* covering every atom in *source_atoms*."""
-    if not source_atoms:
-        yield dict(mapping)
-        return
-    # Choose the atom with the fewest consistent candidate images (fail-first).
-    best_index = 0
-    best_candidates: Optional[list[tuple[Atom, dict[Variable, Term]]]] = None
-    for index, atom in enumerate(source_atoms):
-        candidates = []
-        for image in _candidate_images(atom, target_atoms):
-            extended = _try_extend(mapping, atom, image)
-            if extended is not None:
-                candidates.append((image, extended))
-        if best_candidates is None or len(candidates) < len(best_candidates):
-            best_index = index
-            best_candidates = candidates
-            if not candidates:
-                return
-    remaining = source_atoms[:best_index] + source_atoms[best_index + 1:]
-    assert best_candidates is not None
-    for _, extended in best_candidates:
-        yield from _search(remaining, target_atoms, extended)
-
-
-def _initial_mapping(source: Rule, target: Rule) -> Optional[dict[Variable, Term]]:
-    """Fix distinguished variables: each head variable of *source* must map to
-    the term at the same position in *target*'s head.
-
-    For rules with literally identical heads this is the identity on
-    distinguished variables, which is the paper's requirement.  Allowing
-    positionally-corresponding heads lets callers compare rules whose heads
-    use different variable names but the same pattern.
+    A homomorphism maps each head term of *source* to the term at the same
+    position in *target*'s head (for literally identical heads this is the
+    identity on distinguished variables, the paper's requirement; allowing
+    positional correspondence lets callers compare rules whose heads use
+    different variable names but the same pattern) and every body atom of
+    *source* onto some body atom of *target*.
     """
     if source.head.predicate != target.head.predicate:
-        return None
-    mapping: dict[Variable, Term] = {}
-    for src_term, tgt_term in zip(source.head.arguments, target.head.arguments):
-        if isinstance(src_term, Variable):
-            bound = mapping.get(src_term)
-            if bound is None:
-                mapping[src_term] = tgt_term
-            elif bound != tgt_term:
-                return None
-        elif src_term != tgt_term:
-            return None
-    return mapping
-
-
-def homomorphisms(source: Rule, target: Rule) -> Iterator[dict[Variable, Term]]:
-    """Yield every homomorphism from *source* to *target*.
-
-    A homomorphism fixes the correspondence between the two heads and maps
-    every body atom of *source* onto some body atom of *target*.
-    """
-    mapping = _initial_mapping(source, target)
-    if mapping is None:
         return
-    yield from _search(list(source.body), tuple(target.body), mapping)
+
+    term_ids: dict[Term, int] = {}
+    terms: list[Term] = []
+
+    def term_id(term: Term) -> int:
+        found = term_ids.get(term)
+        if found is None:
+            found = term_ids[term] = len(terms)
+            terms.append(term)
+        return found
+
+    # Target index, per predicate: (distinct atoms as id tuples, their
+    # set, and one {term id: atoms} bucket map per argument position).
+    index: dict = {}
+    for atom in target.body:
+        ids = tuple(term_id(term) for term in atom.arguments)
+        entry = index.get(atom.predicate)
+        if entry is None:
+            entry = index[atom.predicate] = (
+                [], set(), [{} for _ in range(atom.predicate.arity)])
+        if ids in entry[1]:
+            continue
+        entry[0].append(ids)
+        entry[1].add(ids)
+        for position, value in enumerate(ids):
+            entry[2][position].setdefault(value, []).append(ids)
+
+    # Source variables become binding slots; a source argument is its
+    # slot (>= 0) or, for a constant, ``-1 - term id``.
+    slots: dict[Variable, int] = {}
+    variables: list[Variable] = []
+    binding: list[int] = []
+
+    def encode(term: Term) -> Optional[int]:
+        if isinstance(term, Variable):
+            slot = slots.get(term)
+            if slot is None:
+                slot = slots[term] = len(variables)
+                variables.append(term)
+                binding.append(-1)
+            return slot
+        found = term_ids.get(term)
+        return None if found is None else -1 - found
+
+    for src_term, tgt_term in zip(source.head.arguments, target.head.arguments):
+        if not isinstance(src_term, Variable):
+            if src_term != tgt_term:
+                return
+            continue
+        slot = encode(src_term)
+        value = term_id(tgt_term)
+        if binding[slot] < 0:
+            binding[slot] = value
+        elif binding[slot] != value:
+            return
+
+    compiled = []
+    for atom in source.body:
+        entry = index.get(atom.predicate)
+        codes = tuple(encode(term) for term in atom.arguments)
+        if entry is None or None in codes:
+            return   # no target atom can be its image
+        compiled.append((entry, codes))
+
+    for _ in _search(list(range(len(compiled))), compiled, binding):
+        yield {variable: terms[binding[slot]]
+               for slot, variable in enumerate(variables)}
+
+
+def _candidates(entry: tuple, codes: tuple[int, ...],
+                binding: list[int]) -> list[tuple[int, ...]]:
+    """Indexed images of one source atom under the current *binding*."""
+    best = entry[0]
+    values: Optional[list[int]] = []
+    for position, code in enumerate(codes):
+        value = binding[code] if code >= 0 else -1 - code
+        if value < 0:
+            values = None
+            continue
+        bucket = entry[2][position].get(value)
+        if bucket is None:
+            return []
+        if len(bucket) < len(best):
+            best = bucket
+        if values is not None:
+            values.append(value)
+    if values is not None:   # fully bound: a membership test
+        image = tuple(values)
+        return [image] if image in entry[1] else []
+    return best
+
+
+def _search(remaining: list[int], compiled: list, binding: list[int]) -> Iterator[None]:
+    """Yield once per way to extend *binding* over the *remaining* atoms.
+
+    *binding* holds the complete assignment at each yield and is restored
+    before this generator returns.  It is a module-level function, not a
+    closure, because a recursive closure is a reference cycle and would
+    leave every call's index to the cyclic garbage collector.
+    """
+    if not remaining:
+        yield None
+        return
+    chosen = 0
+    images: Optional[list[tuple[int, ...]]] = None
+    for place, atom_index in enumerate(remaining):
+        found = _candidates(*compiled[atom_index], binding)
+        if images is None or len(found) < len(images):
+            chosen, images = place, found
+            if not found:
+                return
+    assert images is not None
+    codes = compiled[remaining[chosen]][1]
+    rest = remaining[:chosen] + remaining[chosen + 1:]
+    trail: list[int] = []
+    for image in images:
+        consistent = True
+        for code, value in zip(codes, image):
+            if code < 0:
+                if -1 - code != value:
+                    consistent = False
+                    break
+                continue
+            bound = binding[code]
+            if bound < 0:
+                binding[code] = value
+                trail.append(code)
+            elif bound != value:
+                consistent = False
+                break
+        if consistent:
+            yield from _search(rest, compiled, binding)
+        for code in trail:
+            binding[code] = -1
+        trail.clear()
 
 
 def find_homomorphism(source: Rule, target: Rule) -> Optional[dict[Variable, Term]]:

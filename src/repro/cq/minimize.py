@@ -21,20 +21,27 @@ def minimize_rule(rule: Rule) -> Rule:
     conjunct can only enlarge the result).  Atoms are considered in body
     order; because cores are unique up to isomorphism the order only
     affects which isomorphic representative is returned.
+
+    One left-to-right pass suffices.  Write ``B`` for the current body
+    and read ``⊇`` on answers.  If atom *j* could not be removed from
+    ``B`` (``B∖{j} ⊋ B``) and a later atom *i* was removed
+    (``B∖{i} ≡ B``), then *j* still cannot be removed from ``B∖{i}``:
+    ``B∖{i,j} ⊇ B∖{j} ⊋ B ≡ B∖{i}``.  So restarting from the first atom
+    after every removal, as the textbook loop does, re-tests only atoms
+    already known to stay and returns the same core, down to the same
+    representative.
     """
     body = list(rule.body)
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(body)):
-            candidate_body = body[:index] + body[index + 1:]
-            candidate = Rule(rule.head, tuple(candidate_body))
-            # Removing an atom always gives a superset; the candidate is
-            # equivalent iff it is also contained in the original.
-            if is_contained_in(candidate, Rule(rule.head, tuple(body))):
-                body = candidate_body
-                changed = True
-                break
+    index = 0
+    while index < len(body):
+        candidate_body = body[:index] + body[index + 1:]
+        # Removing an atom always gives a superset; the candidate is
+        # equivalent iff it is also contained in the current body.
+        if is_contained_in(Rule(rule.head, tuple(candidate_body)),
+                           Rule(rule.head, tuple(body))):
+            body = candidate_body
+        else:
+            index += 1
     return Rule(rule.head, tuple(body))
 
 

@@ -34,6 +34,7 @@ from repro.engine.statistics import (
     PlannerReport,
     RulePlanInfo,
 )
+from repro.exceptions import NotApplicableError, RuleStructureError
 from repro.planner.catalog import CATALOG
 from repro.planner.cost import ProfileSource, estimate_order
 from repro.planner.search import costed_body_order
@@ -143,22 +144,22 @@ def commuting_pairs(rules: Iterable[Rule]) -> tuple[tuple[int, int], ...]:
     Commuting rules admit the decomposed phase evaluation
     (:mod:`repro.core.decomposition`); the planner reports them so a
     caller can see the program-level plan space alongside the per-rule
-    join orders.  Rules outside the restricted class report nothing.
+    join orders.  Pairs outside the restricted class
+    (:class:`~repro.exceptions.NotApplicableError`) or not of the linear
+    same-predicate shape the test needs
+    (:class:`~repro.exceptions.RuleStructureError`) report nothing; any
+    other error is a bug and propagates.
     """
+    # Imported here: repro.core imports the drivers, which import this module.
+    from repro.core.commutativity import commute_polynomial
     rules = tuple(rules)
     pairs: list[tuple[int, int]] = []
-    if len(rules) < 2:
-        return ()
-    try:
-        from repro.core.commutativity import commute_polynomial
-    except Exception:   # pragma: no cover - core is always importable
-        return ()
     for i in range(len(rules)):
         for j in range(i + 1, len(rules)):
             try:
                 if commute_polynomial(rules[i], rules[j]):
                     pairs.append((i, j))
-            except Exception:
+            except (NotApplicableError, RuleStructureError):
                 continue
     return tuple(pairs)
 

@@ -34,6 +34,7 @@ from typing import Mapping, Optional, Sequence
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
+from repro.exceptions import NotApplicableError, RuleStructureError
 from repro.planner.cost import OrderEstimate, ProfileSource, step_matches
 
 #: Rule bodies with at most this many scan atoms are planned with the
@@ -203,13 +204,18 @@ def redundant_scan_indices(rule: Rule,
     """Body indices of recursively redundant nonrecursive atoms.
 
     Wraps :func:`repro.core.redundancy.find_redundant_predicates`; rules
-    outside the restricted class the analysis handles simply report no
-    findings (the planner treats redundancy strictly as an extra hint).
+    outside the class the analysis handles (it raises
+    :class:`~repro.exceptions.NotApplicableError` or, for rules that are
+    not linear recursive or repeat a consequent variable,
+    :class:`~repro.exceptions.RuleStructureError`)
+    simply report no findings — the planner treats redundancy strictly
+    as an extra hint.  Any other error is a bug and propagates.
     """
+    # Imported here: repro.core imports the drivers, which import this module.
+    from repro.core.redundancy import find_redundant_predicates
     try:
-        from repro.core.redundancy import find_redundant_predicates
         findings = find_redundant_predicates(rule)
-    except Exception:
+    except (NotApplicableError, RuleStructureError):
         return frozenset(), ()
     if not findings:
         return frozenset(), ()

@@ -1,6 +1,9 @@
 """Tests for the operator algebra (repro.algebra)."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.algebra.closure import (
     bounded_power_apply,
@@ -22,12 +25,22 @@ from repro.algebra.ordering import (
     operator_leq,
 )
 from repro.algebra.properties import (
+    WITNESS_MEMO_SIZE,
+    _canonical_witness,
     boundedness_witness,
+    canonical_form,
+    default_horizon,
     is_torsion,
     is_uniformly_bounded,
     torsion_period,
 )
+from repro.core.redundancy import find_redundant_predicates
+from repro.datalog.atoms import Atom, Predicate
 from repro.datalog.parser import parse_rule
+from repro.datalog.rules import Rule
+from repro.datalog.terms import Variable
+from repro.workloads.rulegen import random_restricted_rule
+from repro.workloads.wide import wide5_workload
 from repro.exceptions import RuleStructureError, SchemaError
 from repro.storage.database import Database
 from repro.storage.relation import Relation
@@ -199,3 +212,73 @@ class TestBoundednessProperties:
         witness = boundedness_witness(rule, require_equality=True)
         assert witness is not None
         assert witness.high - witness.low == 2
+
+
+def renamed(rule, rng):
+    """*rule* under a random bijective renaming of its variables and of
+    every predicate but equality."""
+    variables = list(rule.variables())
+    names = [f"R{index}" for index in range(len(variables))]
+    rng.shuffle(names)
+    variable_map = {old: Variable(new) for old, new in zip(variables, names)}
+    predicates = sorted({atom.predicate for atom in (rule.head, *rule.body)
+                         if not atom.is_equality()})
+    names = [f"s{index}" for index in range(len(predicates))]
+    rng.shuffle(names)
+    predicate_map = {old: Predicate(new, old.arity)
+                     for old, new in zip(predicates, names)}
+
+    def rename(atom):
+        return Atom(predicate_map.get(atom.predicate, atom.predicate),
+                    tuple(variable_map.get(term, term) for term in atom.arguments))
+
+    return Rule(rename(rule.head), tuple(rename(atom) for atom in rule.body))
+
+
+#: Shapes rulegen cannot produce: equality atoms and constants.
+EQUALITY_RULES = (
+    "p(X, Y) :- p(U, Y), q0(X, U), X = 2.",
+    "p(X, Y) :- p(X, V), q0(V, Y), V = Y.",
+    "p(X, Y) :- p(X, Y), q0(Y, 1).",
+)
+
+
+class TestWitnessMemo:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_bijective_renaming_costs_one_miss(self, seed, require_equality):
+        rng = random.Random(seed)
+        if rng.random() < 0.25:
+            rule = parse_rule(rng.choice(EQUALITY_RULES))
+        else:
+            rule = random_restricted_rule(rng.randint(1, 3), rng.randint(1, 3), rng)
+        boundedness_witness.cache_clear()
+        witness = boundedness_witness(rule, require_equality=require_equality)
+        assert boundedness_witness(
+            renamed(rule, rng), require_equality=require_equality) == witness
+        assert boundedness_witness.cache_info().misses == 1
+        # The uncached search on the caller's own rule agrees.
+        assert witness == _canonical_witness.__wrapped__(
+            rule, default_horizon(rule), require_equality)
+
+    def test_wide5_rules_cost_one_miss(self):
+        rules, _, _ = wide5_workload(2, 2)
+        boundedness_witness.cache_clear()
+        for rule in rules:
+            find_redundant_predicates(rule)
+        info = boundedness_witness.cache_info()
+        assert (info.misses, info.hits) == (1, len(rules) - 1)
+
+    def test_equality_never_shares_a_key_with_a_binary_predicate(self):
+        with_equality = parse_rule("p(X, Y) :- p(X, Z), Z = Y.")
+        with_predicate = parse_rule("p(X, Y) :- p(X, Z), e(Z, Y).")
+        assert canonical_form(with_equality) != canonical_form(with_predicate)
+        assert any(atom.is_equality() for atom in canonical_form(with_equality).body)
+        boundedness_witness.cache_clear()
+        boundedness_witness(with_equality)
+        boundedness_witness(with_predicate)
+        assert boundedness_witness.cache_info().misses == 2
+
+    def test_memo_is_bounded_by_the_module_constant(self):
+        assert boundedness_witness.cache_info().maxsize == WITNESS_MEMO_SIZE

@@ -245,6 +245,45 @@ class TestPlanProgram:
                      stats, Relation.of("p", 2, [(0, 0)]))
         assert any("commute" in note for note in stats.planner.notes)
 
+    @pytest.mark.parametrize("texts", [
+        # A constant (no a-graph) and a repeated consequent variable.
+        ("p(X, Y) :- p(U, Y), q(X, U), r(X, 3).",
+         "p(X, X) :- p(U, X), q(U, U)."),
+        # Not linear recursive, beside a repeated nonrecursive predicate.
+        ("p(X, Y) :- p(X, Z), p(Z, Y).",
+         "p(X, Y) :- p(X, V), q(V, W), q(W, Y)."),
+    ])
+    def test_rules_outside_the_analysed_class_plan_with_no_notes(self, texts):
+        rules = tuple(parse_rule(text) for text in texts)
+        database = Database.of(
+            Relation.of("q", 2, [(0, 1), (1, 1)]),
+            Relation.of("r", 2, [(0, 3)]),
+        )
+        stats = EvaluationStatistics()
+        session = plan_program(rules, database, EvalConfig(planner="costed"),
+                               stats, Relation.of("p", 2, [(0, 0)]))
+        assert len(session.plans) == 2
+        assert [info.source for info in stats.planner.rules] == ["cold"] * 2
+        assert stats.planner.notes == []
+
+    @pytest.mark.parametrize("module, name", [
+        ("repro.core.redundancy", "find_redundant_predicates"),
+        ("repro.core.commutativity", "commute_polynomial"),
+    ])
+    def test_unexpected_analysis_errors_propagate(self, tc_rules, monkeypatch,
+                                                  module, name):
+        def broken(*args, **kwargs):
+            raise RuntimeError("analysis bug")
+
+        monkeypatch.setattr(f"{module}.{name}", broken)
+        database = Database.of(
+            Relation.of("q", 2, [(0, 1)]),
+            Relation.of("r", 2, [(1, 2)]),
+        )
+        with pytest.raises(RuntimeError, match="analysis bug"):
+            plan_program(tc_rules, database, EvalConfig(planner="costed"),
+                         EvaluationStatistics(), Relation.of("p", 2, [(0, 0)]))
+
 
 SPECS = ("rows", "batch", "interned", "interned-threads",
          "interned-processes")
