@@ -17,8 +17,9 @@ negative answer at a finite horizon is reported as "not detected" via the
 returned witness being ``None``.
 
 The witness depends only on the rule, never on the data, and the
-planner asks for it again on every cold plan and every adaptive
-replan.  :func:`boundedness_witness` therefore memoises it in one
+analysis asks for it again for every rule it classifies (redundancy,
+torsion, uniform boundedness).  :func:`boundedness_witness` therefore
+memoises it in one
 bounded LRU cache (:data:`WITNESS_MEMO_SIZE` entries) keyed by the
 rule's :func:`canonical_form` plus the horizon and ``require_equality``.
 The canonical form renames variables and every predicate except

@@ -39,10 +39,9 @@ The engine provides:
 * :mod:`repro.engine.faults` — the deterministic, test-only
   fault-injection harness (:class:`~repro.engine.faults.FaultPlan`)
   driving the chaos-parity suite;
-* join orders come from :mod:`repro.planner` — greedy (the compile-time
-  heuristic of :mod:`repro.engine.plan`), cost-based, or adaptive with
-  mid-fixpoint re-planning — selected by ``EvalConfig(planner=...)``;
-  every evaluation leaves a
+* join orders are the greedy compile-time order of
+  :mod:`repro.engine.plan`; :mod:`repro.planner` reports and explains
+  them, and every evaluation leaves a
   :class:`~repro.engine.statistics.PlannerReport` on its statistics;
 * :mod:`repro.engine.api` — the stable one-call surface:
   :func:`~repro.engine.api.solve` materialises a predicate's closure
@@ -58,7 +57,6 @@ from repro.engine.statistics import (
     HealthReport,
     JoinCounters,
     PlannerReport,
-    ReplanEvent,
     RulePlanInfo,
 )
 from repro.engine.plan import CompiledRule, compile_rule, greedy_body_order
@@ -85,7 +83,6 @@ __all__ = [
     "JoinCounters",
     "ParallelEvaluator",
     "PlannerReport",
-    "ReplanEvent",
     "RulePlanInfo",
     "Supervisor",
     "build_derivation_graph",

@@ -72,10 +72,9 @@ def solve(program: Union[Program, str], database: Database,
     [(1, 2), (1, 3), (2, 3)]
 
     Pass ``statistics=`` to inspect the run.  Every evaluation carries a
-    :class:`~repro.engine.statistics.PlannerReport` describing the join
-    orders chosen by the configured planner (``greedy`` by default;
-    ``costed`` and ``adaptive`` produce bit-identical results — only the
-    probe counts may differ):
+    :class:`~repro.engine.statistics.PlannerReport` naming the join
+    orders it ran.  The greedy compile order is the only planner;
+    ``costed`` and ``adaptive`` are accepted spellings of it:
 
     >>> from repro import EvaluationStatistics
     >>> stats = EvaluationStatistics()
@@ -87,7 +86,7 @@ def solve(program: Union[Program, str], database: Database,
     ...     statistics=stats,
     ... )
     >>> stats.planner.mode
-    'costed'
+    'greedy'
     >>> len(stats.planner.rules)
     1
     """

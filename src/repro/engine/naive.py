@@ -57,11 +57,7 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
                 f"Rule head {rule.head.predicate} does not match the arity "
                 f"{initial.arity} of relation {predicate_name}"
             )
-    # Join orders come from the configured planner (greedy, costed or
-    # adaptive — see :mod:`repro.planner`); the session's hook watches
-    # the new-rows/total ratio and may re-plan at iteration boundaries.
-    session = plan_program(rules, database, config, statistics, initial)
-    plans = session.plans
+    plans = plan_program(rules, database, config, statistics, initial)
 
     # The evaluator's supervisor logs every recovery action (retries,
     # pool rebuilds, degradations) onto this evaluation's health report.
@@ -80,10 +76,7 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
                 if fresh == 0:
                     total = packed.freeze()
                     statistics.result_size = len(total)
-                    session.finish(statistics)
                     return total
-                session.after_iteration(evaluator, packed, fresh,
-                                        packed.total_size())
             raise EvaluationError(
                 f"Naive evaluation did not converge within "
                 f"{max_iterations} iterations"
@@ -97,11 +90,8 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
             new_rows = builder.add_all_new(produced)
             if not new_rows:
                 statistics.result_size = len(total)
-                session.finish(statistics)
                 return total
             total = builder.freeze()
-            session.after_iteration(evaluator, None, len(new_rows),
-                                    len(builder), delta_rows=new_rows)
     raise EvaluationError(
         f"Naive evaluation did not converge within {max_iterations} iterations"
     )

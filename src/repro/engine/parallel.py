@@ -73,6 +73,7 @@ closure only; a run that degrades ``processes`` → ``threads`` →
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from array import array
@@ -128,8 +129,8 @@ EXECUTORS = ("rows", "batch")
 #: The scheduling backends accepted by :class:`EvalConfig`.
 BACKENDS = ("serial", "threads", "processes")
 
-#: The join-order planners accepted by :class:`EvalConfig`
-#: (:mod:`repro.planner`).
+#: The join-order planner spellings accepted by :class:`EvalConfig`;
+#: every one of them means the greedy compile order (:mod:`repro.planner`).
 PLANNERS = ("greedy", "costed", "adaptive")
 
 
@@ -211,17 +212,10 @@ class EvalConfig:
     #: engine carries); the serving layer requires a storage path
     #: alongside this flag.  Ignored by the one-shot fixpoint drivers.
     durable: bool = False
-    #: Join-order planner (:mod:`repro.planner`): ``"greedy"`` compiles
-    #: the PR-1 heuristic order, ``"costed"`` runs the cost model over
-    #: EDB cardinalities (seeded cold, refined warm from the planner
-    #: catalog), ``"adaptive"`` additionally re-plans mid-fixpoint when
-    #: the delta/total cardinality ratio drifts (see ``replan_ratio``).
-    #: All three produce bit-identical results and Theorem-3.1 counts.
+    #: Join-order planner (:mod:`repro.planner`): always ``"greedy"``,
+    #: the compile-time order of :mod:`repro.engine.plan`.  ``"costed"``
+    #: and ``"adaptive"`` are accepted spellings, normalised to it.
     planner: str = "greedy"
-    #: Adaptive drift trigger: re-cost the program when the delta/total
-    #: ratio moves by this factor (either direction) since the current
-    #: plan was costed.  Must exceed 1; ignored outside adaptive mode.
-    replan_ratio: float = 4.0
 
     def __post_init__(self) -> None:
         if self.executor == "interned":
@@ -259,14 +253,18 @@ class EvalConfig:
             raise ValueError("partitions must be at least 1")
         if self.min_partition_rows < 2:
             raise ValueError("min_partition_rows must be at least 2")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be positive (or None)")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive (or None)")
+        # Range tests that NaN fails: it compares false both ways, so a
+        # bare ``x <= 0`` check let it through and disabled the limit.
+        for name in ("task_timeout", "deadline"):
+            value = getattr(self, name)
+            if value is not None and not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite "
+                                 f"(or None), got {value!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be at least 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be at least 0")
+        if not (0 <= self.retry_backoff < math.inf):
+            raise ValueError(f"retry_backoff must be at least 0 and finite, "
+                             f"got {self.retry_backoff!r}")
         if self.on_failure not in ("degrade", "raise"):
             raise ValueError(
                 f"Unknown on_failure {self.on_failure!r}; expected "
@@ -276,8 +274,8 @@ class EvalConfig:
             raise ValueError(
                 f"Unknown planner {self.planner!r}; expected one of {PLANNERS}"
             )
-        if self.replan_ratio <= 1:
-            raise ValueError("replan_ratio must be greater than 1")
+        # Sugar, like ``executor="interned"``: greedy is the only planner.
+        object.__setattr__(self, "planner", "greedy")
         if self.durable and not self.maintain:
             raise ValueError(
                 "durable=True requires maintain=True: durable recovery "
@@ -295,14 +293,13 @@ class EvalConfig:
         a spec is dash-separated tokens — a *mode* (``rows``, ``batch``,
         ``interned``), a *backend* (``serial``, ``threads``,
         ``processes``), a *planner* (``greedy``, ``costed``,
-        ``adaptive``) and/or the flag ``maintain`` (incremental view
-        maintenance in the serving layer) in any order; omitted parts
-        keep their defaults.  Examples::
+        ``adaptive``, all meaning greedy) and/or the flag ``maintain``
+        (incremental view maintenance in the serving layer) in any
+        order; omitted parts keep their defaults.  Examples::
 
             EvalConfig.from_spec("interned-processes")
             EvalConfig.from_spec("interned-processes-maintain")
-            EvalConfig.from_spec("interned-threads-adaptive")
-            EvalConfig.from_spec("interned-costed")
+            EvalConfig.from_spec("interned-threads")
             EvalConfig.from_spec("batch")
             EvalConfig.from_spec("interned")
             EvalConfig.from_spec("")                 # the default config
@@ -370,8 +367,6 @@ class EvalConfig:
     def spec(self) -> str:
         """The canonical spec string of this config (mode-backend[-...])."""
         base = f"{self.mode()}-{self.backend}"
-        if self.planner != "greedy":
-            base = f"{base}-{self.planner}"
         if self.durable:
             return f"{base}-durable"
         return f"{base}-maintain" if self.maintain else base
@@ -452,51 +447,16 @@ def intern_program_constants(plans: Sequence[CompiledRule],
                     domain.intern(term.value)
 
 
-def _plan_orders(plans: Sequence[CompiledRule]) -> Optional[tuple]:
-    """The per-plan forced orders to ship to workers (``None`` = all greedy)."""
-    if any(plan.forced for plan in plans):
-        return tuple(plan.order if plan.forced else None for plan in plans)
-    return None
-
-
 _WORKER_DATABASE: Optional[Database] = None
-_WORKER_RULES: tuple = ()
 _WORKER_PLANS: list[CompiledRule] = []
-#: The forced join orders the worker's plans were compiled with
-#: (``None`` everywhere the greedy order applies); every task carries
-#: the parent's current orders, so an adaptive mid-fixpoint replan
-#: propagates to the anonymous pool workers on their next task.
-_WORKER_ORDERS: Optional[tuple] = None
 #: Values the worker's domain was seeded with at pool start-up; a task's
 #: domain tail replays ids ``base..`` in order, so once the domain has
 #: caught up the replay can be skipped by a bare length check.
 _WORKER_DOMAIN_BASE = 0
 
 
-def _worker_sync_orders(orders: Optional[tuple]) -> None:
-    """Recompile the worker's plans when the parent's orders changed.
-
-    *orders* is ``None`` (all greedy) or a per-plan tuple of
-    order-or-``None``.  A change recompiles every plan (the compile
-    cache makes unchanged rules free) and drops the grouped packed
-    specialisations, which are derived from the plans.
-    """
-    global _WORKER_PLANS, _WORKER_ORDERS
-    if orders == _WORKER_ORDERS:
-        return
-    assert _WORKER_DATABASE is not None, "worker used before initialization"
-    per_plan = orders if orders is not None else (None,) * len(_WORKER_RULES)
-    _WORKER_PLANS = [
-        compile_rule(rule, _WORKER_DATABASE, order=order)
-        for rule, order in zip(_WORKER_RULES, per_plan)
-    ]
-    _WORKER_PACKED_FAST.clear()
-    _WORKER_ORDERS = orders
-
-
 def _process_worker_init(database: Database, rules: tuple,
-                         domain_values: list,
-                         orders: Optional[tuple] = None) -> None:
+                         domain_values: list) -> None:
     """Process-pool initializer: receive the EDB and compile plans once.
 
     The database arrives pickled (relations only — caches are not part of
@@ -504,16 +464,12 @@ def _process_worker_init(database: Database, rules: tuple,
     that persists across every iteration of the closure.
     *domain_values* replays the parent's id assignment, so the worker's
     domain is bit-compatible with the parent's and flat id buffers can
-    cross the process boundary in either direction.  *orders* ships the
-    planner's forced join orders (``None`` under the greedy planner), so
-    worker plans match the parent's exactly.
+    cross the process boundary in either direction.
     """
-    global _WORKER_DATABASE, _WORKER_RULES, _WORKER_PLANS
-    global _WORKER_ORDERS, _WORKER_DOMAIN_BASE
+    global _WORKER_DATABASE, _WORKER_PLANS, _WORKER_DOMAIN_BASE
     _WORKER_DATABASE = database
-    _WORKER_RULES = tuple(rules)
-    _WORKER_ORDERS = object()  # sentinel: force the sync below
-    _worker_sync_orders(orders)
+    _WORKER_PLANS = [compile_rule(rule, database) for rule in rules]
+    _WORKER_PACKED_FAST.clear()
     database.domain().seed(domain_values)
     _WORKER_DOMAIN_BASE = len(domain_values)
 
@@ -660,8 +616,7 @@ def _process_worker_run_packed(plan_indices: tuple[int, ...],
                                start: int, stop: int,
                                result_name: str, result_capacity: int,
                                domain_tail: list, checksum: int,
-                               fault: Optional[tuple[str, float]] = None,
-                               orders: Optional[tuple] = None
+                               fault: Optional[tuple[str, float]] = None
                                ) -> tuple[int, int, JoinCounters,
                                           Optional[array], int]:
     """Packed process task: shared-memory ids in, shared-memory ids out.
@@ -683,7 +638,6 @@ def _process_worker_run_packed(plan_indices: tuple[int, ...],
     from garbage ids.
     """
     assert _WORKER_DATABASE is not None, "worker used before initialization"
-    _worker_sync_orders(orders)
     apply_worker_fault(fault, in_process_worker=True)
     database = _WORKER_DATABASE
     domain = database.domain()
@@ -750,11 +704,6 @@ class ParallelEvaluator:
                  config: Optional[EvalConfig] = None,
                  health: Optional[HealthReport] = None):
         self.plans = list(plans)
-        #: Per-plan forced join orders to ship to process workers
-        #: (``None`` when every plan is greedy — the common case, in
-        #: which worker compilation needs no hints at all).  Kept in
-        #: sync by :meth:`replace_plans`.
-        self.plan_orders = _plan_orders(self.plans)
         self.database = database
         self.config = config if config is not None else SERIAL_CONFIG
         #: Recovery-action log, usually the driver's
@@ -817,8 +766,7 @@ class ParallelEvaluator:
             self._pool = ProcessPoolExecutor(
                 max_workers=config.resolved_workers(),
                 initializer=_process_worker_init,
-                initargs=(self.database, rules, domain_values,
-                          self.plan_orders),
+                initargs=(self.database, rules, domain_values),
             )
         else:
             self._pool = None
@@ -883,25 +831,6 @@ class ParallelEvaluator:
         if self._segment_ring is None:
             self._segment_ring = SegmentRing(slots)
         return self._segment_ring
-
-    def replace_plans(self, new_plans: Sequence[CompiledRule]) -> None:
-        """Swap in re-planned rules (adaptive planner, iteration boundary).
-
-        The plan list is updated *in place* so holders of the list
-        object (the packed closure) observe the swap; ``plan_orders``
-        follows, and the next task shipped to each process worker
-        carries the new orders (:func:`_worker_sync_orders`), so no pool
-        rebuild is needed.  Callers on the packed path must also call
-        :meth:`PackedClosure.refresh_plans` to rebuild plan-derived
-        state.
-        """
-        if len(new_plans) != len(self.plans):
-            raise ValueError(
-                f"replace_plans got {len(new_plans)} plans for "
-                f"{len(self.plans)} rules"
-            )
-        self.plans[:] = list(new_plans)
-        self.plan_orders = _plan_orders(self.plans)
 
     # ------------------------------------------------------------------
 
@@ -1015,7 +944,35 @@ class PackedClosure:
         self._delta_packed: set[int] = set(known)
         self._deltas = InternedDeltaCache(domain)
         self._total_view: Optional[InternedRelation] = None
-        self.refresh_plans()
+        #: Per-plan grouped-join specialisation — the two-scan binary
+        #: shape and the 3-atom chain shapes (any head arity), selected
+        #: by :func:`repro.engine.vectorized.select_packed_specialization`
+        #: — with per-plan persistent groups for the serial naive
+        #: driver's incrementally maintained total.
+        self._fast: list[Optional[Any]] = [
+            select_packed_specialization(plan, self.name, self.arity,
+                                         self.base_k)
+            for plan in self.plans
+        ]
+        self._fast_groups: list[Optional[dict[int, list[int]]]] = (
+            [None] * len(self.plans)
+        )
+        #: Plans that scan the recursive predicate exactly once can have
+        #: the delta row-partitioned; every other plan runs once, whole.
+        self._splittable = tuple(
+            plan.scan_relation_names().count(self.name) == 1
+            for plan in self.plans
+        )
+        #: With no splittable plan at all there is no parallelism to
+        #: win — every iteration would ship the whole delta to a single
+        #: worker task — so such closures stay on the in-process path.
+        self._any_splittable = any(self._splittable)
+        self._split_plans = tuple(
+            i for i, ok in enumerate(self._splittable) if ok
+        )
+        self._solo_plans = tuple(
+            i for i, ok in enumerate(self._splittable) if not ok
+        )
         #: Domain growth beyond the process workers' seed snapshot.
         #: The base is frozen above, after interning everything a
         #: derivation can produce, so within one pool generation the
@@ -1047,72 +1004,6 @@ class PackedClosure:
     def delta_size(self) -> int:
         """Rows in the current delta (0 once the fixpoint is reached)."""
         return len(self._delta_packed)
-
-    def total_size(self) -> int:
-        """Rows accumulated so far (including the initial relation)."""
-        return len(self.known)
-
-    def sample_delta(self, limit: int) -> list[Row]:
-        """A deterministic sample of the delta, decoded to value rows.
-
-        The adaptive planner's frontier sample: the smallest *limit*
-        packed values (sorting makes the sample identical on every
-        backend) decoded through the domain.  The decoded rows probe the
-        database's value-space indexes in
-        :func:`repro.planner.adaptive.measure_fanouts`.
-        """
-        picked = sorted(self._delta_packed)[:limit]
-        values = self.domain.values_view()
-        base = self.base_k
-        arity = self.arity
-        rows: list[Row] = []
-        for packed in picked:
-            ids = [0] * arity
-            for i in range(arity - 1, -1, -1):
-                packed, ids[i] = divmod(packed, base)
-            rows.append(tuple(values[ident] for ident in ids))
-        return rows
-
-    def refresh_plans(self) -> None:
-        """Derive the per-plan state (at construction and after a plan swap).
-
-        ``self.plans`` is the evaluator's own list, updated in place by
-        :meth:`ParallelEvaluator.replace_plans` on an adaptive swap;
-        everything derived from it — grouped specialisations and their
-        persistent groups, the splittable partition — is recomputed
-        here.  The packing base, domain, accumulated rows and delta are
-        untouched: a plan swap changes how the next iteration runs,
-        never what has been derived.
-        """
-        #: Per-plan grouped-join specialisation — the two-scan binary
-        #: shape and the 3-atom chain shapes (any head arity), selected
-        #: by :func:`repro.engine.vectorized.select_packed_specialization`
-        #: — with per-plan persistent groups for the serial naive
-        #: driver's incrementally maintained total.
-        self._fast: list[Optional[Any]] = [
-            select_packed_specialization(plan, self.name, self.arity,
-                                         self.base_k)
-            for plan in self.plans
-        ]
-        self._fast_groups: list[Optional[dict[int, list[int]]]] = (
-            [None] * len(self.plans)
-        )
-        #: Plans that scan the recursive predicate exactly once can have
-        #: the delta row-partitioned; every other plan runs once, whole.
-        self._splittable = tuple(
-            plan.scan_relation_names().count(self.name) == 1
-            for plan in self.plans
-        )
-        #: With no splittable plan at all there is no parallelism to
-        #: win — every iteration would ship the whole delta to a single
-        #: worker task — so such closures stay on the in-process path.
-        self._any_splittable = any(self._splittable)
-        self._split_plans = tuple(
-            i for i, ok in enumerate(self._splittable) if ok
-        )
-        self._solo_plans = tuple(
-            i for i, ok in enumerate(self._splittable) if not ok
-        )
 
     def _parallel_ready(self, n_rows: int) -> bool:
         """Whether this iteration's rows are worth farming out."""
@@ -1346,8 +1237,7 @@ class PackedClosure:
                     _process_worker_run_packed, plan_indices, self.name,
                     self.arity, self.base_k, delta_name, self._packed_wire,
                     start, stop, segment.name, segment.capacity, tail,
-                    checksum, fault, self.evaluator.plan_orders,
-                )
+                    checksum, fault)
             return submit
 
         submits = [

@@ -24,20 +24,13 @@ fixpoint iterations; only the override relations (the semi-naive deltas)
 are indexed per execution.
 
 Cache invalidation rules: the plan cache is keyed by the (immutable)
-:class:`~repro.datalog.rules.Rule` value — plus the forced body order,
-when a planner supplies one — and contains *only structural* information
-— atom order, slot numbering, position layouts — never data, so a cached
+:class:`~repro.datalog.rules.Rule` value and contains *only structural*
+information — atom order, slot numbering, position layouts — never data, so a cached
 plan is valid against any database.  Relation sizes influence only the
 greedy order chosen at first compile (a performance heuristic, not a
 correctness input).  The emitted multiset of head tuples is
 order-independent, so derivation and duplicate counts (Theorem 3.1's
 |E| accounting) are identical to the interpreted path.
-
-Join orders other than the greedy default come from
-:mod:`repro.planner`: the cost-based planner hands ``compile_rule`` an
-explicit permutation of body-atom indices (``order=...``) and the plan
-executes the body in exactly that sequence.  A forced order changes
-*work* (probe and binding counters), never *results*.
 """
 
 from __future__ import annotations
@@ -125,12 +118,12 @@ class CompiledRule:
     """A rule compiled to a fixed join order and slot-based executor."""
 
     __slots__ = ("rule", "num_slots", "steps", "head_template", "fact_row",
-                 "order", "forced", "batch", "interned")
+                 "order", "batch", "interned")
 
     def __init__(self, rule: Rule, num_slots: int, steps: tuple,
                  head_template: tuple[tuple[bool, Any], ...],
                  fact_row: Optional[Row],
-                 order: tuple[int, ...] = (), forced: bool = False):
+                 order: tuple[int, ...] = ()):
         self.rule = rule
         self.num_slots = num_slots
         self.steps = steps
@@ -138,10 +131,6 @@ class CompiledRule:
         self.fact_row = fact_row
         #: Body-atom indices in execution order (empty for facts).
         self.order = order
-        #: True when the order was forced by a planner
-        #: (:mod:`repro.planner`) rather than chosen by the greedy
-        #: heuristic.  Structural, like everything else on the plan.
-        self.forced = forced
         #: Lazily populated column-oriented lowering of the same step
         #: sequence (:func:`repro.engine.vectorized.batch_plan`).  Purely
         #: structural, like the plan itself, so it shares the plan
@@ -296,38 +285,28 @@ class CompiledRule:
         ``executor="interned"`` prints the int-specialised pipeline —
         interned columns, int-keyed payload probes, and the packed head
         emission (:func:`repro.engine.vectorized.describe_interned`).
-
-        Plans whose body order was forced by the cost-based planner
-        (:mod:`repro.planner`) carry a trailing ``planner:`` line naming
-        the forced permutation; greedy plans print exactly as before.
         """
         if executor == "batch":
             # Imported here: vectorized depends on this module.
             from repro.engine.vectorized import describe_batch
-            return self._annotate(describe_batch(self))
+            return describe_batch(self)
         if executor == "interned":
             from repro.engine.vectorized import describe_interned
-            return self._annotate(describe_interned(self))
+            return describe_interned(self)
         if executor != "rows":
             raise ValueError(
                 f"Unknown executor {executor!r}; expected 'rows', 'batch' "
                 f"or 'interned'"
             )
         if self.fact_row is not None:
-            return self._annotate(f"fact {self.rule.head}")
+            return f"fact {self.rule.head}"
         lines = []
         for step in self.steps:
             if type(step) is _EqualityStep:
                 lines.append(f"equality[{step.mode}] {step.atom}")
             else:
                 lines.append(f"scan {step.atom} key={step.key_positions}")
-        return self._annotate("\n".join(lines))
-
-    def _annotate(self, text: str) -> str:
-        """Append the planner line for forced (cost-planned) orders."""
-        if not self.forced:
-            return text
-        return f"{text}\nplanner: costed order={self.order}"
+        return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +322,7 @@ def greedy_body_order(atoms: Sequence[Atom], database: Optional[Database],
     Relation sizes (when a database is available at compile time) are a
     heuristic input only; any order yields the same emission multiset.
     Ties resolve to the earliest body position, matching the historical
-    ``min()`` over the remaining atom list.  The cost-based planner
-    (:mod:`repro.planner`) calls this to compare its candidate orders
-    against the greedy default.
+    ``min()`` over the remaining atom list.
     """
     remaining = list(range(len(atoms)))
     ordered: list[int] = []
@@ -386,8 +363,7 @@ def _order_atoms_static(atoms: Sequence[Atom], database: Optional[Database],
 
 
 def _compile(rule: Rule, database: Optional[Database],
-             overrides: Optional[Mapping[str, Relation]],
-             order: Optional[tuple[int, ...]] = None) -> CompiledRule:
+             overrides: Optional[Mapping[str, Relation]]) -> CompiledRule:
     head = rule.head
     head_vars = head.variables()
     body_vars = {var for atom in rule.body for var in atom.variables()}
@@ -405,17 +381,7 @@ def _compile(rule: Rule, database: Optional[Database],
         )
         return CompiledRule(rule, 0, (), (), fact_row)
 
-    if order is None:
-        body_order = greedy_body_order(rule.body, database, overrides)
-        forced = False
-    else:
-        if sorted(order) != list(range(len(rule.body))):
-            raise EvaluationError(
-                f"Forced order {order!r} is not a permutation of the "
-                f"{len(rule.body)} body atoms of {rule}"
-            )
-        body_order = tuple(order)
-        forced = True
+    body_order = greedy_body_order(rule.body, database, overrides)
     ordered = [rule.body[i] for i in body_order]
 
     slots: dict[Variable, int] = {}
@@ -486,31 +452,24 @@ def _compile(rule: Rule, database: Optional[Database],
         for term in head.arguments
     )
     return CompiledRule(rule, len(slots), tuple(steps), head_template, None,
-                        order=body_order, forced=forced)
+                        order=body_order)
 
 
 def compile_rule(rule: Rule, database: Optional[Database] = None,
-                 overrides: Optional[Mapping[str, Relation]] = None,
-                 order: Optional[tuple[int, ...]] = None) -> CompiledRule:
+                 overrides: Optional[Mapping[str, Relation]] = None) -> CompiledRule:
     """Compile *rule*, reusing a cached plan when one exists.
 
-    The cache is keyed by the rule value — plus *order* when a planner
-    forces one: a plan embeds no data, so it is correct against any
-    database.  *database*/*overrides* only seed the greedy-order size
-    heuristic on first compile; *order* (a permutation of body-atom
-    indices, from :mod:`repro.planner`) fixes the execution sequence
-    outright, bypassing the greedy heuristic.  A forced-order plan is a
-    distinct cache entry even when the permutation coincides with the
-    greedy choice, so greedy plans never carry planner annotations.
+    The cache is keyed by the rule value: a plan embeds no data, so it
+    is correct against any database.  *database*/*overrides* only seed
+    the greedy-order size heuristic on first compile.
     """
-    key: Any = rule if order is None else (rule, tuple(order))
-    cached = _PLAN_CACHE.get(key)
+    cached = _PLAN_CACHE.get(rule)
     if cached is not None:
         return cached
-    plan = _compile(rule, database, overrides, order)
+    plan = _compile(rule, database, overrides)
     if len(_PLAN_CACHE) >= _PLAN_CACHE_LIMIT:
         _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = plan
+    _PLAN_CACHE[rule] = plan
     return plan
 
 

@@ -72,12 +72,7 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
                 f"Rule head {rule.head.predicate} does not match the arity "
                 f"{initial.arity} of relation {predicate_name}"
             )
-    # The planner chooses each rule's join order: greedy compile (the
-    # default), cost-based (cold EDB estimates or warm catalog), or
-    # adaptive, which re-plans at iteration boundaries via the session's
-    # ``after_iteration`` hook (a no-op in the other modes).
-    session = plan_program(rules, database, config, statistics, initial)
-    plans = session.plans
+    plans = plan_program(rules, database, config, statistics, initial)
 
     iterations = 0
     # The evaluator's supervisor logs every recovery action (retries,
@@ -96,9 +91,6 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
                 iterations += 1
                 statistics.iterations += 1
                 packed.step_seminaive(statistics)
-                session.after_iteration(evaluator, packed,
-                                        packed.delta_size(),
-                                        packed.total_size())
             if iterations >= max_iterations and packed.delta_size():
                 raise EvaluationError(
                     f"Semi-naive evaluation did not converge within "
@@ -106,7 +98,6 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
                 )
             total = packed.freeze()
             statistics.result_size = len(total)
-            session.finish(statistics)
             return total
         builder = RowSetBuilder(predicate_name, initial.arity, initial.rows)
         delta = initial
@@ -117,15 +108,12 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
             produced = record_collapsed_productions(pairs, builder, statistics)
             new_rows = builder.add_all_new(produced)
             delta = Relation.from_canonical(predicate_name, initial.arity, new_rows)
-            session.after_iteration(evaluator, None, len(delta),
-                                    len(builder), delta_rows=delta.rows)
     if iterations >= max_iterations and delta.rows:
         raise EvaluationError(
             f"Semi-naive evaluation did not converge within {max_iterations} iterations"
         )
     total = builder.freeze()
     statistics.result_size = len(total)
-    session.finish(statistics)
     return total
 
 

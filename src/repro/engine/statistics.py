@@ -124,113 +124,36 @@ class HealthReport:
 
 @dataclass
 class RulePlanInfo:
-    """One rule's chosen join order, as reported by the planner.
+    """One rule's executed join order, as reported by the planner.
 
-    ``order`` is the executed permutation of body-atom indices;
-    ``source`` records where it came from — ``"greedy"`` (the compile
-    time heuristic), ``"cold"`` (cost model over EDB cardinalities),
-    ``"warm"`` (a prior run's measured statistics via the planner
-    catalog) or ``"replan"`` (an adaptive mid-fixpoint swap).  The
-    estimates are the cost model's predictions at planning time; the
-    *actual* cardinalities land on the owning report's
-    :attr:`PlannerReport.actual` when the evaluation finishes.
+    ``order`` is the permutation of body-atom indices the compiled plan
+    runs (the greedy compile-time order of :mod:`repro.engine.plan`).
     """
 
     rule: str = ""
     order: tuple[int, ...] = ()
-    source: str = "greedy"
-    estimated_cost: Optional[float] = None
-    estimated_rows: Optional[float] = None
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule,
-            "order": list(self.order),
-            "source": self.source,
-            "estimated_cost": self.estimated_cost,
-            "estimated_rows": self.estimated_rows,
-        }
-
-
-@dataclass
-class ReplanEvent:
-    """One adaptive mid-fixpoint plan swap (iteration boundary)."""
-
-    #: Fixpoint iteration (1-based) *after* which the swap happened.
-    iteration: int = 0
-    #: Index of the swapped rule in the driver's rule tuple.
-    rule_index: int = 0
-    old_order: tuple[int, ...] = ()
-    new_order: tuple[int, ...] = ()
-    #: The delta/total cardinality ratio that triggered the check.
-    delta_ratio: float = 0.0
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "iteration": self.iteration,
-            "rule_index": self.rule_index,
-            "old_order": list(self.old_order),
-            "new_order": list(self.new_order),
-            "delta_ratio": round(self.delta_ratio, 6),
-        }
-
-
-#: Cap on recorded per-iteration (delta, total) pairs; long fixpoints
-#: keep counting iterations without growing the trajectory unboundedly.
-TRAJECTORY_LIMIT = 256
 
 
 @dataclass
 class PlannerReport:
-    """What the planner decided, and what actually happened.
+    """The join orders an evaluation ran.
 
-    Hangs off :attr:`EvaluationStatistics.planner` for every driver run
-    (``mode="greedy"`` reports just the executed orders; the costed and
-    adaptive modes add cost estimates, the delta/total trajectory and
-    any replan events).  Excluded from statistics equality comparisons:
-    two runs that derive identically may still have planned differently.
+    Hangs off :attr:`EvaluationStatistics.planner` for every driver run.
+    Excluded from statistics equality comparisons: join order changes
+    join work, never what is derived.
     """
 
-    #: ``greedy`` | ``costed`` | ``adaptive``.
+    #: Always ``greedy``, the only planner
+    #: (``costed``/``adaptive`` are spellings of it).
     mode: str = "greedy"
-    #: Per-rule chosen orders, aligned with the driver's rule tuple.
+    #: Per-rule executed orders, aligned with the driver's rule tuple.
     rules: list[RulePlanInfo] = field(default_factory=list)
-    #: Adaptive plan swaps, in the order they happened.
-    replans: list[ReplanEvent] = field(default_factory=list)
-    #: Times the drift trigger fired and a re-costing was performed
-    #: (each may or may not have produced a swap).
-    replan_checks: int = 0
-    #: Per-iteration ``(delta size, total size)`` pairs, capped at
-    #: :data:`TRAJECTORY_LIMIT` entries.
-    trajectory: list[tuple[int, int]] = field(default_factory=list)
-    #: Actual headline counters at the end of the run (derivations,
-    #: rows probed), for estimated-vs-actual reporting.
-    actual: dict[str, int] = field(default_factory=dict)
-    #: Program-analysis annotations folded into planning (commutativity
-    #: of rule pairs, recursive-redundancy findings used as tie-breaks).
+    #: Mid-fixpoint plan swaps; always empty, since plans never change
+    #: during a fixpoint.  Kept for readers of the report.
+    replans: list = field(default_factory=list)
+    #: Free-form planning annotations; the greedy planner adds none
+    #: (:func:`repro.planner.explain_program` prints commuting rule pairs).
     notes: list[str] = field(default_factory=list)
-
-    def record_iteration(self, delta_size: int, total_size: int) -> None:
-        if len(self.trajectory) < TRAJECTORY_LIMIT:
-            self.trajectory.append((delta_size, total_size))
-
-    def summary(self) -> str:
-        """One-line human-readable summary."""
-        orders = " ".join(str(info.order) for info in self.rules)
-        return (f"planner={self.mode} orders=[{orders}] "
-                f"replans={len(self.replans)}")
-
-    def as_dict(self) -> dict[str, object]:
-        """Flat dictionary (for reports and CI artifacts)."""
-        return {
-            "mode": self.mode,
-            "rules": [info.as_dict() for info in self.rules],
-            "replans": [event.as_dict() for event in self.replans],
-            "replan_checks": self.replan_checks,
-            "iterations_recorded": len(self.trajectory),
-            "actual": dict(self.actual),
-            "notes": list(self.notes),
-        }
 
 
 @dataclass
@@ -280,8 +203,7 @@ class EvaluationStatistics:
     #: Recovery actions taken by the supervised parallel evaluator
     #: (retries, pool rebuilds, degradations); all-zero for clean runs.
     health: HealthReport = field(default_factory=HealthReport)
-    #: What the planner decided for this evaluation (chosen join orders,
-    #: estimates, adaptive replan events).  Excluded from equality:
+    #: The join orders this evaluation ran.  Excluded from equality:
     #: planning metadata never affects *what* was computed.
     planner: Optional[PlannerReport] = field(default=None, compare=False,
                                              repr=False)

@@ -1,77 +1,30 @@
-"""Cost-based and adaptive join-order planning.
+"""Join-order planning: the greedy compile order, reported and explained.
 
-This package turns the compile-time greedy heuristic of
-:mod:`repro.engine.plan` into a real planner:
+Every rule runs in the greedy compile-time order of
+:mod:`repro.engine.plan` (the most constrained atom first, smaller
+relations breaking ties).  :mod:`repro.planner.program` is the
+driver-facing surface: :func:`plan_program` compiles a program and
+attaches a :class:`~repro.engine.statistics.PlannerReport`,
+:func:`explain_program` prints the orders and step plans together with
+the commuting rule pairs (Theorem 5.2).
 
-* :mod:`repro.planner.cost` — the cardinality model: per-relation
-  profiles (sizes, per-column distinct counts) and a ``C_out``-style
-  cost estimate for any candidate body order.
-* :mod:`repro.planner.search` — Selinger-style subset DP over the scan
-  atoms (the paper's join commutativity made operational), with
-  equality weaving, a delta-first constraint, and redundancy-aware
-  tie-breaks from :mod:`repro.core.redundancy`.
-* :mod:`repro.planner.catalog` — the warm-statistics catalog: prior
-  runs' measured costs seed later plans ("seeded cold, refined warm").
-* :mod:`repro.planner.adaptive` — mid-fixpoint re-planning when the
-  delta/total cardinality ratio drifts, with frontier-sampled fanouts
-  replacing cold estimates; plan swaps land at iteration boundaries so
-  Theorem-3.1 accounting is unchanged.
-* :mod:`repro.planner.program` — the driver-facing surface:
-  :func:`plan_program` / :class:`PlannerSession` /
-  :func:`explain_program`.
-
-Select a mode with ``EvalConfig(planner="greedy"|"costed"|"adaptive")``
-(spec tokens of the same names).  All three modes produce bit-identical
-results, derivations, duplicates and iteration counts on every executor
-and backend; they differ only in join work (``rows_probed``) and the
-:class:`~repro.engine.statistics.PlannerReport` they leave behind.
+``EvalConfig(planner="costed"|"adaptive")`` and the spec tokens of the
+same names are accepted spellings of ``"greedy"``: a cost model and
+mid-fixpoint re-planning changed only join work, never results or
+Theorem-3.1 counts, and lost to greedy in seconds on every measured
+workload.  :func:`planner_catalog` is kept for the benchmark harness.
 """
 
-from repro.planner.adaptive import AdaptiveController, measure_fanouts
-from repro.planner.catalog import (
-    CATALOG,
-    Observation,
-    StatisticsCatalog,
-    planner_catalog,
-)
-from repro.planner.cost import (
-    OrderEstimate,
-    ProfileSource,
-    RelationProfile,
-    estimate_order,
-    step_matches,
-)
 from repro.planner.program import (
-    PLANNERS,
-    PlannerSession,
     commuting_pairs,
     explain_program,
     plan_program,
-)
-from repro.planner.search import (
-    costed_body_order,
-    costed_scan_order,
-    redundant_scan_indices,
+    planner_catalog,
 )
 
 __all__ = [
-    "AdaptiveController",
-    "measure_fanouts",
-    "CATALOG",
-    "Observation",
-    "StatisticsCatalog",
-    "planner_catalog",
-    "OrderEstimate",
-    "ProfileSource",
-    "RelationProfile",
-    "estimate_order",
-    "step_matches",
-    "PLANNERS",
-    "PlannerSession",
     "commuting_pairs",
     "explain_program",
     "plan_program",
-    "costed_body_order",
-    "costed_scan_order",
-    "redundant_scan_indices",
+    "planner_catalog",
 ]

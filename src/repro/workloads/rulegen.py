@@ -147,14 +147,14 @@ def random_commuting_pair(arity: int, rng: Optional[random.Random] = None
 
 
 # ----------------------------------------------------------------------
-# Skewed planner-shootout families (benchmarks/bench_planner.py)
+# Skewed join-order families (the e2e ``plan_bound`` workload)
 # ----------------------------------------------------------------------
 
 
 def skewed_filter_program(chain: int = 40, blow_fanout: int = 20,
                           sel_padding: int = 1000
                           ) -> tuple[tuple[Rule, ...], Database, Relation]:
-    """A workload where the greedy size heuristic picks the wrong scan.
+    """A workload where the greedy size heuristic probes more than it must.
 
     The rule is ``p(X,Y) :- p(X,Z), blow(Z,Y), sel(Z,Y)`` over a
     *chain*-long path: for every chain node ``z``, ``blow`` holds the
@@ -162,10 +162,11 @@ def skewed_filter_program(chain: int = 40, blow_fanout: int = 20,
     ``sel`` holds only the true successor — plus ``sel_padding`` rows
     under keys the evaluation never probes.  The padding makes ``sel``
     the *larger* relation, so greedy's size tie-break scans ``blow``
-    first (``blow_fanout`` probed rows per delta row); the cost model's
-    matches-per-probe estimate (``|R| / d_Z``) sees straight through it
-    and scans ``sel`` first (one probed row per delta row).  Both orders
-    emit the identical head multiset — only ``rows_probed`` differs.
+    first (``blow_fanout`` probed rows per delta row, against one for
+    the ``sel``-first order).  Every order emits the identical head
+    multiset — only ``rows_probed`` differs — and at these sizes the
+    extra probes cost no measurable time, which is why greedy is the
+    only planner.
 
     Returns ``(rules, database, initial)`` ready for the fixpoint
     drivers; the initial relation seeds the chain at node 0.
@@ -199,18 +200,17 @@ def hub_drift_program(chain: int = 40, hot_start: int = 6,
                       hot_fanout: int = 60, alt_fanout: int = 4,
                       padding: int = 3000
                       ) -> tuple[tuple[Rule, ...], Database, Relation]:
-    """A workload whose cold statistics mislead greedy *and* costed.
+    """A workload whose join fanout drifts during the fixpoint.
 
     The rule is ``p(X,Y) :- p(X,Z), hub(X,Z,Y), alt(Z,Y)`` over a
     *chain*-long path.  ``hub`` shares two bound variables with the
     delta, so greedy scans it first; its padding rows (*padding* triples
-    under never-probed keys with near-distinct columns) also make the
-    cost model's cold matches-per-probe estimate tiny, so the costed
-    planner scans it first too.  But past node *hot_start* every live
-    probe of ``hub`` returns ``hot_fanout`` rows, while ``alt`` stays at
-    ``alt_fanout`` everywhere — only the adaptive planner, re-costing
-    with fanouts *measured on the live frontier* after the delta/total
-    ratio drifts, swaps to the ``alt``-first order mid-fixpoint.
+    under never-probed keys with near-distinct columns) make it look
+    selective to any cold estimate.  But past node *hot_start* every
+    live probe of ``hub`` returns ``hot_fanout`` rows, while ``alt``
+    stays at ``alt_fanout`` everywhere, so the ``alt``-first order
+    probes fewer rows late in the fixpoint.  Results and Theorem-3.1
+    counts are the same under every order.
 
     Returns ``(rules, database, initial)``; the initial relation seeds
     the chain at node 0 with source value 0.

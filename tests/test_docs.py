@@ -32,7 +32,6 @@ _spec.loader.exec_module(check_markdown_links)
 DOC_FILES = (
     REPO / "README.md",
     REPO / "docs" / "architecture.md",
-    REPO / "docs" / "planner.md",
     REPO / "src" / "repro" / "engine" / "README.md",
 )
 
@@ -71,7 +70,9 @@ class TestKnobTables:
         )
 
     def test_planner_modes_named_in_readme(self):
-        for token in ("greedy", "costed", "adaptive", "replan_ratio"):
+        # Greedy is the only planner; the README must say that the other
+        # two spellings still parse.
+        for token in ("greedy", "costed", "adaptive"):
             assert token in ENGINE_README
 
 
@@ -121,11 +122,10 @@ class TestArchitectureDoc:
                         "ivm", "serve", "durability"):
             assert f"src/repro/{package}" in text, package
 
-    def test_planner_doc_has_shootout_and_formulas(self):
-        text = (REPO / "docs" / "planner.md").read_text()
-        assert "skewed_filter" in text and "hub_drift" in text
-        assert "matches per probe" in text
-        assert "replan_ratio" in text
+    def test_architecture_doc_describes_the_greedy_order(self):
+        text = (REPO / "docs" / "architecture.md").read_text()
+        assert "greedy" in text and "PlannerReport" in text
+        assert not (REPO / "docs" / "planner.md").exists()
 
     def test_readme_points_at_architecture(self):
         assert "docs/architecture.md" in (REPO / "README.md").read_text()

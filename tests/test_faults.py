@@ -280,6 +280,17 @@ class TestPolicyEscapes:
         with pytest.raises(ValueError):
             EvalConfig(retry_backoff=-0.1)
 
+    @pytest.mark.parametrize("field", ["deadline", "task_timeout",
+                                       "retry_backoff"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_limits_rejected(self, field, value):
+        # NaN compares false with everything, so a ``<= 0`` check let
+        # ``deadline=nan`` through and the deadline never fired.
+        with pytest.raises(ValueError, match=field):
+            EvalConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            EvalConfig.from_spec("interned-threads", **{field: value})
+
 
 # ----------------------------------------------------------------------
 # FaultPlan / FaultEvent / HealthReport units

