@@ -92,7 +92,7 @@ def check_speedup_floors(report: dict, floors: list[str]) -> list[str]:
     """Enforce ``FIELD:MIN`` speedup floors against the current report.
 
     Each floor names a numeric per-entry field (e.g.
-    ``tc512_speedup_processes``) and the minimum its best value must
+    ``tc512_speedup_threads``) and the minimum its best value must
     reach.  Floors are *skipped* — recorded, never failed — unless both
     this machine (``os.cpu_count()``) and the benchmark run that
     produced the report (its recorded ``cpu_count``) had at least two

@@ -17,13 +17,12 @@ each program to fixpoint through four independent engines:
 
 With ``--backend-seeds N``, the first ``N`` seeds of the range
 additionally sweep the **backend** axis: the interned executor — the
-only mode with a parallel form — runs on the ``threads`` and
-``processes`` backends, so the parallel merge accounting — per-worker
-``total - |fresh|`` reduction, striped thread sinks, shm delta/result
-buffers — is differentially fuzzed against the same reference
-signatures, not just the serial executors.  Backend sweeps spawn a
-worker pool per configuration, so CI applies them to a subset of the
-nightly seeds.
+only mode with a parallel form — runs on the ``threads`` backend, so
+the parallel merge accounting — per-worker ``total - |fresh|``
+reduction into a striped thread sink — is differentially fuzzed
+against the same reference signatures, not just the serial executors.
+Backend sweeps start a thread pool per closure, so CI applies them to
+a subset of the nightly seeds.
 
 With ``--query-seeds N``, the first ``N`` seeds additionally fuzz the
 query tier: for random bound/free adornments of the recursive
@@ -40,16 +39,6 @@ sideways pass drops) through :class:`~repro.query.QueryEngine`:
 ``auto == magic == closure`` answers on a cold engine, on one primed via
 ``prime_closure``, and on its ``with_database`` sibling after a relation
 swap.
-
-With ``--fault-seeds N``, the first ``N`` seeds additionally run the
-interned executor on both parallel backends under a deterministic
-seed-derived :class:`repro.engine.faults.FaultPlan` (worker kills, task
-errors/delays, segment leak/corruption, merge-point errors).  The
-supervised evaluator must absorb every injected fault and still produce
-the reference signature; the per-run
-:class:`~repro.engine.statistics.HealthReport` (retries, pool rebuilds,
-degradations, segment churn) is aggregated and, with ``--health-file``,
-written out as a JSON artifact.
 
 With ``--ivm-seeds N``, the first ``N`` seeds additionally fuzz the
 incremental maintenance engine (:mod:`repro.ivm`): the generated
@@ -70,8 +59,9 @@ program commits a random batch schedule under a seed-derived
 corruption, kills inside the checkpoint install protocol), the
 directory is re-opened, and the recovered closure, counters and base
 relations must be bit-identical to an uncrashed twin that committed
-exactly the durable prefix.  Recovery accounting joins the
-``--health-file`` artifact as ``durable-wal`` entries.
+exactly the durable prefix.  With ``--health-file``, each run's
+recovery accounting is written out as a ``durable-wal`` entry of a JSON
+artifact.
 
 With ``--analysis-seeds N``, the first ``N`` seeds additionally fuzz
 the paper's analysis for renaming invariance: the seed's rules (a
@@ -110,8 +100,8 @@ Usage::
     python benchmarks/fuzz_differential.py --analysis-seeds 40
                                                            # + analysis renaming
                                                            # invariance
-    python benchmarks/fuzz_differential.py --fault-seeds 5 \
-        --health-file fuzz-health.json                     # + chaos sweep
+    python benchmarks/fuzz_differential.py --wal-seeds 5 \
+        --health-file recovery-health.json                 # + crash recovery
     python benchmarks/fuzz_differential.py --failures-file fuzz-failures.txt
 """
 
@@ -134,7 +124,7 @@ from repro.datalog.programs import Program  # noqa: E402
 from repro.datalog.rules import Rule  # noqa: E402
 from repro.datalog.terms import Variable  # noqa: E402
 from repro.durability import DurableCoordinator  # noqa: E402
-from repro.engine.faults import CrashPlan, FaultPlan, SimulatedCrash  # noqa: E402
+from repro.engine.faults import CrashPlan, SimulatedCrash  # noqa: E402
 from repro.engine.parallel import EvalConfig  # noqa: E402
 from repro.engine.reference import seminaive_closure_interpreted  # noqa: E402
 from repro.engine.seminaive import seminaive_closure  # noqa: E402
@@ -729,39 +719,17 @@ def check_wal(rules: tuple[Rule, ...], database: Database,
     return mismatches
 
 
-#: The parallel sweep: the packed closure on both parallel backends.
-#: Low worker counts keep per-seed pool start-up bounded; partitions=3
-#: forces real delta splits even on tiny deltas.
-def _parallel_sweep_configs() -> tuple[tuple[str, EvalConfig], ...]:
-    return tuple(
-        (f"interned-{backend}",
-         EvalConfig(executor="batch", intern=True, backend=backend,
-                    max_workers=2, partitions=3, min_partition_rows=2))
-        for backend in ("threads", "processes")
-    )
-
-
-#: The chaos sweep: the interned executor on both parallel backends
-#: under a seed-derived fault schedule.  Supervision must absorb every
-#: injected fault without perturbing the reference signature; whether a
-#: given schedule fires at all depends on how long the program iterates,
-#: which the health aggregate records faithfully.
-def _fault_sweep_configs(seed: int) -> tuple[tuple[str, EvalConfig], ...]:
-    configs = []
-    for backend in ("threads", "processes"):
-        configs.append((
-            f"interned-{backend}-chaos",
-            EvalConfig(executor="batch", intern=True, backend=backend,
-                       max_workers=2, partitions=3, min_partition_rows=2,
-                       retry_backoff=0.0,
-                       fault_plan=FaultPlan.from_seed(seed)),
-        ))
-    return tuple(configs)
+#: The parallel sweep: the packed closure on the threads backend.
+#: Two workers keep per-seed pool start-up bounded; partitions=3 forces
+#: real delta splits even on tiny deltas.
+PARALLEL_SWEEP = ("interned-threads",
+                  EvalConfig(executor="batch", intern=True, backend="threads",
+                             max_workers=2, partitions=3,
+                             min_partition_rows=2))
 
 
 def run_seed(seed: int, max_iterations: int,
              sweep_backends: bool = False,
-             fault_sweep: bool = False,
              query_sweep: bool = False,
              ivm_sweep: bool = False,
              wal_sweep: bool = False,
@@ -789,9 +757,7 @@ def run_seed(seed: int, max_iterations: int,
         ("interned", EvalConfig(executor="batch", intern=True)),
     ]
     if sweep_backends:
-        engines.extend(_parallel_sweep_configs())
-    if fault_sweep:
-        engines.extend(_fault_sweep_configs(seed))
+        engines.append(PARALLEL_SWEEP)
     for label, config in engines:
         stats = EvaluationStatistics()
         relation = seminaive_closure(
@@ -799,14 +765,6 @@ def run_seed(seed: int, max_iterations: int,
             max_iterations=max_iterations, config=config,
         )
         outcomes[label] = signature(relation, stats)
-        if (health_sink is not None and config is not None
-                and config.fault_plan is not None):
-            health_sink.append({
-                "seed": seed, "engine": label,
-                "plan": [vars(event) for event in config.fault_plan.events],
-                "fired": [list(hit) for hit in config.fault_plan.fired],
-                **stats.health.as_dict(),
-            })
 
     if analysis_sweep:
         # Its own stream, so enabling this leg shifts no other leg.
@@ -859,14 +817,9 @@ def main(argv=None) -> int:
                         help="first seed of the range (default 0)")
     parser.add_argument("--backend-seeds", type=int, default=0,
                         help="additionally run the interned executor on "
-                             "the threads/processes backends (striped sink, "
-                             "packed shared-memory exchange) on the first N "
-                             "seeds of the range (default 0: serial only)")
-    parser.add_argument("--fault-seeds", type=int, default=0,
-                        help="additionally run the interned executor on both "
-                             "parallel backends under a deterministic "
-                             "seed-derived fault schedule on the first N "
-                             "seeds of the range (default 0: no chaos)")
+                             "the threads backend (striped sink) on the "
+                             "first N seeds of the range (default 0: serial "
+                             "only)")
     parser.add_argument("--query-seeds", type=int, default=0,
                         help="additionally check, on the first N seeds of "
                              "the range, that magic-sets demand-rewritten "
@@ -906,17 +859,16 @@ def main(argv=None) -> int:
                              "signatures) to this file; CI uploads it as a "
                              "workflow artifact for offline reproduction")
     parser.add_argument("--health-file", type=pathlib.Path, default=None,
-                        help="write the aggregated HealthReports of the "
-                             "--fault-seeds runs (plans, fired faults, "
-                             "recovery counters) to this JSON file")
+                        help="write the recovery reports of the --wal-seeds "
+                             "runs (plans, fired crashes, recovery counters) "
+                             "to this JSON file")
     args = parser.parse_args(argv)
 
     failures = []
     swept = 0
-    chaos_runs: list[dict] = []
+    health_runs: list[dict] = []
     for seed in range(args.base_seed, args.base_seed + args.seeds):
         sweep = seed - args.base_seed < args.backend_seeds
-        chaos = seed - args.base_seed < args.fault_seeds
         queries = seed - args.base_seed < args.query_seeds
         ivm = seed - args.base_seed < args.ivm_seeds
         wal = seed - args.base_seed < args.wal_seeds
@@ -924,12 +876,11 @@ def main(argv=None) -> int:
         swept += sweep
         ok, description = run_seed(seed, args.max_iterations,
                                    sweep_backends=sweep,
-                                   fault_sweep=chaos,
                                    query_sweep=queries,
                                    ivm_sweep=ivm,
                                    wal_sweep=wal,
                                    analysis_sweep=analysis,
-                                   health_sink=chaos_runs)
+                                   health_sink=health_runs)
         if args.verbose or not ok:
             status = "ok  " if ok else "FAIL"
             matrix = " [backend sweep]" if sweep else ""
@@ -940,18 +891,17 @@ def main(argv=None) -> int:
             print(f"seed={seed:5d} {status} {description}{matrix}")
         if not ok:
             failures.append((seed, description))
-    if args.health_file is not None and chaos_runs:
+    if args.health_file is not None and health_runs:
         totals: dict[str, int] = {}
-        for entry in chaos_runs:
+        for entry in health_runs:
             for key, value in entry.items():
                 if isinstance(value, int) and key != "seed":
                     totals[key] = totals.get(key, 0) + value
         args.health_file.write_text(json.dumps(
-            {"runs": chaos_runs, "totals": totals}, indent=2) + "\n")
-        print(f"wrote {len(chaos_runs)} chaos health reports to "
+            {"runs": health_runs, "totals": totals}, indent=2) + "\n")
+        print(f"wrote {len(health_runs)} recovery reports to "
               f"{args.health_file} "
-              f"(faults injected: {totals.get('faults_injected', 0)}, "
-              f"recovery actions: {totals.get('recovery_actions', 0)})")
+              f"(recovery actions: {totals.get('recovery_actions', 0)})")
     if failures:
         if args.failures_file is not None:
             with args.failures_file.open("a") as handle:
@@ -973,7 +923,7 @@ def main(argv=None) -> int:
         )
         return 1
     matrix_note = (
-        f"; interned on threads/processes on the first {swept}"
+        f"; interned on threads on the first {swept}"
         if swept else ""
     )
     ivm_note = (

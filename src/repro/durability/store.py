@@ -36,9 +36,8 @@ coordinator.  Every scanned record is accounted for in the
 (and the fuzzer/benchmarks) drive: it wraps a
 :class:`~repro.ivm.maintain.MaterializedProgram` so every committed
 batch is WAL-logged *before* it is applied, checkpoints periodically
-and on clean close, and registers an ``atexit`` backstop mirroring
-:mod:`repro.engine.shm` so an abandoned coordinator still flushes its
-log and releases its lock.
+and on clean close, and registers an ``atexit`` backstop so an
+abandoned coordinator still flushes its log and releases its lock.
 """
 
 from __future__ import annotations

@@ -29,16 +29,11 @@ The engine provides:
 * :mod:`repro.engine.parallel` — per-iteration execution of the
   compiled plans under an :class:`~repro.engine.parallel.EvalConfig`:
   the serial ``rows``/``batch`` loop, and the packed-id closure
-  (``interned`` × backend ``serial``/``threads``/``processes``) with
-  delta partitioning and a statistics-preserving Counter-free merge;
-* :mod:`repro.engine.supervision` — the fault-tolerance layer around the
-  parallel backends: per-task deadlines and bounded retries, worker-pool
-  rebuilds after crashes, and the graceful-degradation ladder
-  (``processes`` → ``threads`` → ``serial``), all recorded on the
-  evaluation's :class:`~repro.engine.statistics.HealthReport`;
-* :mod:`repro.engine.faults` — the deterministic, test-only
-  fault-injection harness (:class:`~repro.engine.faults.FaultPlan`)
-  driving the chaos-parity suite;
+  (``interned`` × backend ``serial``/``threads``) with delta
+  partitioning and a statistics-preserving Counter-free merge;
+* :mod:`repro.engine.faults` — the deterministic crash-injection plans
+  (:class:`~repro.engine.faults.CrashPlan`) driving the durability
+  layer's recovery-parity suite;
 * join orders are the greedy compile-time order of
   :mod:`repro.engine.plan`; :mod:`repro.planner` reports and explains
   them, and every evaluation leaves a
@@ -61,8 +56,6 @@ from repro.engine.statistics import (
 )
 from repro.engine.plan import CompiledRule, compile_rule, greedy_body_order
 from repro.engine.parallel import EvalConfig, ParallelEvaluator
-from repro.engine.faults import FaultEvent, FaultPlan
-from repro.engine.supervision import IterationFailure, Supervisor
 from repro.engine.vectorized import execute_batch, execute_interned
 from repro.engine.conjunctive import evaluate_rule
 from repro.engine.naive import naive_closure
@@ -76,15 +69,11 @@ __all__ = [
     "DerivationGraph",
     "EvalConfig",
     "EvaluationStatistics",
-    "FaultEvent",
-    "FaultPlan",
     "HealthReport",
-    "IterationFailure",
     "JoinCounters",
     "ParallelEvaluator",
     "PlannerReport",
     "RulePlanInfo",
-    "Supervisor",
     "build_derivation_graph",
     "compile_rule",
     "decomposed_closure",

@@ -14,6 +14,7 @@ job (:mod:`repro.core.planner`).  They simply execute a given phase order.
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Optional, Sequence
 
 from repro.datalog.rules import Rule
@@ -42,9 +43,10 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
     (``rows``/``batch``/``interned``) and the backend apply to all
     phases; all phases share one database and therefore one
     value-interning domain.  Interned configurations run each phase as
-    a packed-id closure on every backend (shared-memory delta exchange
-    on ``processes``).
+    a packed-id closure on every backend.  The config's ``deadline``
+    budgets the whole call: every phase counts from its start.
     """
+    started = time.monotonic()
     statistics = statistics if statistics is not None else EvaluationStatistics()
     statistics.initial_size = len(initial)
 
@@ -63,7 +65,7 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
     for group, name in execution_order:
         phase_stats = EvaluationStatistics()
         current = seminaive_closure(group, current, database, phase_stats,
-                                    config=config)
+                                    config=config, started=started)
         statistics.add_phase(name, phase_stats)
     statistics.result_size = len(current)
     return current

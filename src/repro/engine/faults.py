@@ -1,53 +1,9 @@
-"""Deterministic fault injection for the supervised parallel evaluator.
+"""Deterministic crash injection for the durability layer.
 
-Chaos testing a parallel fixpoint is only useful if a failing schedule
-can be replayed exactly, so faults here are *planned*, not sampled at
-fire time: a :class:`FaultPlan` is a finite list of :class:`FaultEvent`
-entries, each addressed by an injection point, a fixpoint iteration and
-(for task faults) a task index, and each armed for a bounded number of
-firings.  The plan is consulted only by the parent process — the
-supervisor draws a directive when it submits a task (or reaches a merge
-or segment-exchange point) and ships the directive *with* the task — so
-which worker gets hurt never depends on scheduling races.  Bounded
-``count`` values guarantee every schedule is survivable: once an event
-is exhausted the retried task/iteration runs clean.
-
-Injection points
-----------------
-
-``task``
-    Fires inside the worker executing the task (thread or process):
-    ``error`` raises :class:`InjectedFault`, ``delay`` sleeps (pair it
-    with ``EvalConfig.task_timeout`` to exercise the deadline path),
-    ``kill`` hard-exits the worker process with ``os._exit`` —
-    producing a real ``BrokenProcessPool`` — or, on the thread backend,
-    raises :class:`InjectedCrash`, which the supervisor escalates like
-    a pool break.
-``segment``
-    Fires in the parent just after the iteration's delta was written to
-    shared memory: ``leak`` unlinks the segment (workers fail to
-    attach), ``corrupt`` flips bytes in place (workers detect the
-    checksum mismatch and raise
-    :class:`~repro.engine.shm.SegmentCorruption`).
-``merge``
-    Fires in the parent at the iteration barrier, after every task
-    result was collected but before the iteration commits — the classic
-    "crash between compute and commit" schedule.  Recovery replays the
-    whole iteration, which is safe because nothing was committed.
-
-A plan is mutable (it tracks how often each event fired) and therefore
-single-use: build a fresh plan per evaluation, e.g. via
-:meth:`FaultPlan.from_seed`, which derives the same schedule from the
-same seed every time.  This is a test-only hook — production configs
-simply leave ``EvalConfig.fault_plan`` unset and no code path below is
-reached.
-
-Crash injection for the durability layer
-----------------------------------------
-
-:class:`CrashPlan`/:class:`CrashEvent` are the same idea aimed at the
-write-ahead log and checkpoint writer (:mod:`repro.durability`): a
-planned, deterministic "process death" at a chosen durability
+Crash testing is only useful if a failing schedule can be replayed
+exactly, so crashes here are *planned*, not sampled at fire time.
+:class:`CrashPlan`/:class:`CrashEvent` aim at the write-ahead log and
+checkpoint writer (:mod:`repro.durability`): a planned, deterministic "process death" at a chosen durability
 operation — kill after N clean WAL appends, a torn final record, a
 record with a corrupted checksum, or a crash between the checkpoint
 rename and the manifest/WAL updates (stale checkpoint, stale WAL).
@@ -59,14 +15,9 @@ twin that committed only the durable prefix.
 
 from __future__ import annotations
 
-import os
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Optional
-
-#: Injection points a :class:`FaultEvent` can address.
-FAULT_POINTS = ("task", "segment", "merge")
 
 #: Injection points a :class:`CrashEvent` can address (the durability
 #: layer: write-ahead log and checkpoint/manifest writes).
@@ -86,152 +37,6 @@ CRASH_KINDS = {
     "manifest_swap": ("kill",),
     "wal_reset": ("kill",),
 }
-
-#: Event kinds per injection point.
-FAULT_KINDS = {
-    "task": ("error", "delay", "kill"),
-    "segment": ("leak", "corrupt"),
-    "merge": ("error",),
-}
-
-
-class InjectedFault(Exception):
-    """A failure raised by a :class:`FaultPlan` directive."""
-
-
-class InjectedCrash(InjectedFault):
-    """A simulated worker crash (thread backend's stand-in for SIGKILL).
-
-    The supervisor treats this exactly like
-    :class:`concurrent.futures.BrokenExecutor`: the iteration attempt is
-    abandoned and the pool is rebuilt before the replay.
-    """
-
-
-@dataclass
-class FaultEvent:
-    """One planned fault: where, when, what, and how often.
-
-    ``iteration`` counts the supervised evaluator's iterations from 1;
-    ``None`` matches any iteration.  ``task_index`` addresses the
-    iteration attempt's deterministic task submission order; ``None``
-    matches any task.  ``count`` bounds how many times the event fires
-    (every draw decrements it), so a retried task or iteration
-    eventually runs clean; a count exceeding the supervisor's retry
-    budget forces the degradation ladder instead.
-    """
-
-    point: str
-    kind: str
-    iteration: Optional[int] = None
-    task_index: Optional[int] = None
-    count: int = 1
-    #: Sleep duration for ``delay`` directives (seconds).
-    seconds: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.point not in FAULT_POINTS:
-            raise ValueError(
-                f"Unknown fault point {self.point!r}; expected one of "
-                f"{FAULT_POINTS}"
-            )
-        if self.kind not in FAULT_KINDS[self.point]:
-            raise ValueError(
-                f"Unknown {self.point} fault kind {self.kind!r}; expected "
-                f"one of {FAULT_KINDS[self.point]}"
-            )
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-
-
-@dataclass
-class FaultPlan:
-    """A deterministic, single-use schedule of :class:`FaultEvent`\\ s.
-
-    Events are matched in list order; the first armed event matching
-    the draw's coordinates fires and its remaining ``count`` drops by
-    one.  ``fired`` logs every firing as ``(point, kind, iteration,
-    task_index)`` so tests can assert exactly which faults a run saw.
-
-    The plan object is intentionally *not* hashable by value (identity
-    semantics): it is mutable scheduling state, carried inside an
-    otherwise-frozen :class:`~repro.engine.parallel.EvalConfig`.
-    """
-
-    events: list[FaultEvent] = field(default_factory=list)
-    fired: list[tuple[str, str, int, Optional[int]]] = field(
-        default_factory=list)
-    _remaining: dict[int, int] = field(default_factory=dict, repr=False)
-
-    # Identity hashing: see the class docstring.
-    __hash__ = object.__hash__  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        for index, event in enumerate(self.events):
-            self._remaining.setdefault(index, event.count)
-
-    @classmethod
-    def from_seed(cls, seed: int, events: int = 3,
-                  max_iteration: int = 4,
-                  points: tuple[str, ...] = FAULT_POINTS,
-                  delay_seconds: float = 0.01) -> "FaultPlan":
-        """A reproducible random schedule: same seed, same plan.
-
-        Used by the chaos fuzz sweep (``fuzz_differential.py
-        --fault-seeds``); every generated event targets one of the
-        first *max_iteration* iterations with a bounded count, so any
-        schedule is survivable within the default retry budget.
-        """
-        rng = random.Random(seed)
-        generated: list[FaultEvent] = []
-        for _ in range(events):
-            point = rng.choice(points)
-            kind = rng.choice(FAULT_KINDS[point])
-            generated.append(FaultEvent(
-                point=point,
-                kind=kind,
-                iteration=rng.randint(1, max_iteration),
-                task_index=rng.choice([None, 0]),
-                count=rng.randint(1, 2),
-                seconds=delay_seconds,
-            ))
-        return cls(generated)
-
-    def draw(self, point: str, iteration: int,
-             task_index: Optional[int] = None
-             ) -> Optional[tuple[str, float]]:
-        """The directive to apply at these coordinates, if any is armed.
-
-        Returns ``(kind, seconds)`` and consumes one firing, or ``None``
-        when no armed event matches.  Draws happen only in the parent
-        (at submission / merge / segment-exchange time), so no locking
-        is needed and replayed runs draw identically.
-        """
-        for index, event in enumerate(self.events):
-            if event.point != point:
-                continue
-            if event.iteration is not None and event.iteration != iteration:
-                continue
-            if (point == "task" and event.task_index is not None
-                    and event.task_index != task_index):
-                continue
-            if self._remaining[index] <= 0:
-                continue
-            self._remaining[index] -= 1
-            self.fired.append((point, event.kind, iteration, task_index))
-            return (event.kind, event.seconds)
-        return None
-
-    def exhausted(self) -> bool:
-        """True once every event has fired its full count."""
-        return all(left <= 0 for left in self._remaining.values())
-
-    def reset(self) -> None:
-        """Re-arm every event and clear the firing log."""
-        self.fired.clear()
-        for index, event in enumerate(self.events):
-            self._remaining[index] = event.count
-
 
 class SimulatedCrash(Exception):
     """The process "died" at a planned :class:`CrashEvent`.
@@ -284,9 +89,9 @@ class CrashPlan:
     The durability layer calls :meth:`draw` at every
     :data:`CRASH_POINTS` site; each call advances that point's
     operation counter, and the first armed event whose ``after``
-    matches the count of already-completed operations fires.  Like
-    :class:`FaultPlan`, plans are mutable single-use state —
-    :meth:`from_seed` rebuilds the same schedule from the same seed.
+    matches the count of already-completed operations fires.  Plans
+    are mutable single-use state — :meth:`from_seed` rebuilds the same
+    schedule from the same seed.
     """
 
     events: list[CrashEvent] = field(default_factory=list)
@@ -294,7 +99,7 @@ class CrashPlan:
     _seen: dict[str, int] = field(default_factory=dict, repr=False)
     _spent: set[int] = field(default_factory=set, repr=False)
 
-    # Mutable scheduling state — identity semantics, like FaultPlan.
+    # Mutable scheduling state: identity semantics, not value hashing.
     __hash__ = object.__hash__  # type: ignore[assignment]
 
     @classmethod
@@ -339,28 +144,3 @@ class CrashPlan:
         self.fired.clear()
         self._seen.clear()
         self._spent.clear()
-
-
-def apply_worker_fault(directive: Optional[tuple[str, float]],
-                       in_process_worker: bool) -> None:
-    """Execute a ``task`` directive at the task's execution site.
-
-    Runs first thing in the worker's task body.  ``kill`` hard-exits a
-    process worker (the parent observes ``BrokenProcessPool``, exactly
-    as under an external SIGKILL); thread workers cannot be killed, so
-    there it raises :class:`InjectedCrash`, which the supervisor
-    escalates identically.  ``delay`` sleeps and then lets the task run
-    normally — the parent's per-task deadline decides whether that
-    counts as a timeout.
-    """
-    if directive is None:
-        return
-    kind, seconds = directive
-    if kind == "kill":
-        if in_process_worker:
-            os._exit(2)
-        raise InjectedCrash("injected worker crash")
-    if kind == "delay":
-        time.sleep(seconds)
-        return
-    raise InjectedFault(f"injected task fault ({kind})")

@@ -59,8 +59,8 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
             )
     plans = plan_program(rules, database, config, statistics, initial)
 
-    # The evaluator's supervisor logs every recovery action (retries,
-    # pool rebuilds, degradations) onto this evaluation's health report.
+    # The evaluator logs its backend and any degradation onto this
+    # evaluation's health report.
     with ParallelEvaluator(plans, database, config,
                            health=statistics.health) as evaluator:
         packed = evaluator.packed_closure(initial)

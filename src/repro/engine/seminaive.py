@@ -13,6 +13,7 @@ to obtain the initial relation ``Q``.
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Optional
 
 from repro.datalog.programs import LinearRecursion
@@ -34,7 +35,8 @@ from repro.storage.relation import Relation, RowSetBuilder
 def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
                       statistics: Optional[EvaluationStatistics] = None,
                       max_iterations: int = 100_000,
-                      config: Optional[EvalConfig] = None) -> Relation:
+                      config: Optional[EvalConfig] = None,
+                      started: Optional[float] = None) -> Relation:
     """Compute ``(Σ A_i)* initial`` by semi-naive iteration.
 
     Every successful derivation is recorded in *statistics*; a derivation
@@ -55,6 +57,11 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
     is split across; the default is the serial row-at-a-time compiled
     path.  Result relations and derivation/duplicate statistics are
     identical for every combination.
+
+    *started* is the :func:`time.monotonic` instant the config's
+    ``deadline`` counts from: a driver that runs this closure as one
+    phase of a larger evaluation passes its own start, so the budget
+    spans the whole evaluation.  ``None`` starts the clock here.
     """
     rules = tuple(rules)
     statistics = statistics if statistics is not None else EvaluationStatistics()
@@ -75,18 +82,17 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
     plans = plan_program(rules, database, config, statistics, initial)
 
     iterations = 0
-    # The evaluator's supervisor logs every recovery action (retries,
-    # pool rebuilds, degradations) onto this evaluation's health report.
-    with ParallelEvaluator(plans, database, config,
-                           health=statistics.health) as evaluator:
+    # The evaluator logs its backend and any degradation onto this
+    # evaluation's health report.
+    with ParallelEvaluator(plans, database, config, health=statistics.health,
+                           started=started) as evaluator:
         packed = evaluator.packed_closure(initial)
         if packed is not None:
             # Interned execution on any backend: the whole loop runs on
             # packed integer ids and decodes to value rows exactly once.
-            # Parallel backends split each iteration's delta across
-            # workers (threads share the parent's accumulator through a
-            # striped sink; processes exchange flat id buffers through
-            # shared memory) and reduce Counter-free at the barrier.
+            # On threads each iteration's delta is split across workers
+            # that share the parent's accumulator through a striped
+            # sink and reduce Counter-free at the barrier.
             while packed.delta_size() and iterations < max_iterations:
                 iterations += 1
                 statistics.iterations += 1
@@ -154,11 +160,13 @@ def solve_linear_recursion(recursion: LinearRecursion, database: Database,
     with semi-naive evaluation.  *config* selects the mode
     (``rows``/``batch``/``interned``) for both phases and the backend of
     the recursive one.  Returns the minimal model restricted to the
-    recursive predicate.
+    recursive predicate.  The config's ``deadline`` counts from the
+    start of this call, exit rules included.
     """
+    started = time.monotonic()
     statistics = statistics if statistics is not None else EvaluationStatistics()
     initial = evaluate_exit_rules(recursion, database, statistics, config=config)
     return seminaive_closure(
         recursion.recursive_rules, initial, database, statistics, max_iterations,
-        config=config,
+        config=config, started=started,
     )

@@ -18,6 +18,7 @@ of Sections 4.1 and 6.1.
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Optional
 
 from repro.datalog.rules import Rule
@@ -48,9 +49,10 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
     both phases' semi-naive closures, so the mode
     (``rows``/``batch``/``interned``) and the backend apply to both
     phases; interned configurations run each phase as a packed-id
-    closure on every backend (shared-memory delta exchange on
-    ``processes``).
+    closure on every backend.  The config's ``deadline`` budgets the
+    whole call: both phases count from its start.
     """
+    started = time.monotonic()
     statistics = statistics if statistics is not None else EvaluationStatistics()
     statistics.initial_size = len(initial)
 
@@ -62,17 +64,17 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
     if push_into_initial:
         seeded = selection.apply(initial)
         inner_result = seminaive_closure(inner_rules, seeded, database, inner_stats,
-                                         config=config)
+                                         config=config, started=started)
         selected = inner_result
     else:
         inner_result = seminaive_closure(inner_rules, initial, database, inner_stats,
-                                         config=config)
+                                         config=config, started=started)
         selected = selection.apply(inner_result)
     statistics.add_phase("inner-closure", inner_stats)
 
     outer_stats = EvaluationStatistics()
     result = seminaive_closure(outer_rules, selected, database, outer_stats,
-                               config=config)
+                               config=config, started=started)
     statistics.add_phase("outer-closure", outer_stats)
 
     statistics.result_size = len(result)

@@ -17,39 +17,25 @@ from typing import Optional
 
 @dataclass
 class HealthReport:
-    """Recovery actions taken by the supervised parallel evaluator.
+    """What the evaluator and the serving layer did besides computing.
 
-    Fault tolerance must never change *what* was computed — results and
-    the Theorem-3.1 derivation/duplicate accounting stay bit-identical
-    to a fault-free serial run — so everything the supervisor did to get
-    there is recorded here instead: per-task retries and timeouts,
-    worker-pool rebuilds after crashes, whole-iteration replays, shared
-    memory segment churn, and the backend-degradation ladder
-    (``processes`` → ``threads`` → ``serial``).  A fault-free run leaves
-    every counter at zero.  The report lives on
-    :attr:`EvaluationStatistics.health`; phase merging folds child
-    reports into the parent like every other counter.
+    Nothing recorded here changes *what* was computed — results and the
+    Theorem-3.1 derivation/duplicate accounting are identical on every
+    backend.  The evaluator records the backend it ran on and any
+    backend degradation (``processes`` runs on ``threads``); the
+    durability and serving layers record WAL, checkpoint and guardrail
+    activity.  The report lives on :attr:`EvaluationStatistics.health`;
+    phase merging folds child reports into the parent like every other
+    counter.
     """
 
-    #: The effective backend at the end of evaluation ("" before any
-    #: supervised evaluator ran; differs from the configured backend
-    #: only after a degradation).
+    #: The backend evaluation ran on ("" before any evaluator ran;
+    #: differs from the configured backend only after a degradation).
     backend: str = ""
-    #: Task attempts re-submitted after a retriable failure.
+    #: Task attempts re-submitted; always 0 (a failing task raises).
     task_retries: int = 0
-    #: Task attempts abandoned because they exceeded ``task_timeout``.
-    task_timeouts: int = 0
-    #: Worker pools torn down and rebuilt after a crash.
-    pool_rebuilds: int = 0
-    #: Whole iterations replayed from the last completed iteration's
-    #: state (always safe: an iteration is a pure function of the delta
-    #: and the accumulated total).
+    #: Whole iterations replayed; always 0 (a failing iteration raises).
     iteration_retries: int = 0
-    #: Shared-memory segments dropped and reallocated under fresh names
-    #: during recovery (see :meth:`repro.engine.shm.SegmentRing.recycle`).
-    segments_recycled: int = 0
-    #: Faults fired by a test-only :class:`repro.engine.faults.FaultPlan`.
-    faults_injected: int = 0
     #: Degradation steps taken, e.g. ``["processes->threads"]``.
     degradations: list[str] = field(default_factory=list)
     #: Committed batches appended to the write-ahead log
@@ -72,11 +58,7 @@ class HealthReport:
     def merge(self, other: "HealthReport") -> None:
         """Accumulate another report into this one."""
         self.task_retries += other.task_retries
-        self.task_timeouts += other.task_timeouts
-        self.pool_rebuilds += other.pool_rebuilds
         self.iteration_retries += other.iteration_retries
-        self.segments_recycled += other.segments_recycled
-        self.faults_injected += other.faults_injected
         self.degradations.extend(other.degradations)
         self.wal_records_appended += other.wal_records_appended
         self.wal_records_replayed += other.wal_records_replayed
@@ -96,8 +78,7 @@ class HealthReport:
         (``commits_shed``/``query_timeouts``) do not: those are normal
         behaviour under load, not recovery.
         """
-        return (self.task_retries + self.task_timeouts + self.pool_rebuilds
-                + self.iteration_retries + self.segments_recycled
+        return (self.task_retries + self.iteration_retries
                 + self.wal_records_replayed + self.wal_records_truncated
                 + len(self.degradations))
 
@@ -106,11 +87,7 @@ class HealthReport:
         return {
             "backend": self.backend,
             "task_retries": self.task_retries,
-            "task_timeouts": self.task_timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
             "iteration_retries": self.iteration_retries,
-            "segments_recycled": self.segments_recycled,
-            "faults_injected": self.faults_injected,
             "degradations": list(self.degradations),
             "wal_records_appended": self.wal_records_appended,
             "wal_records_replayed": self.wal_records_replayed,
@@ -200,8 +177,8 @@ class EvaluationStatistics:
     result_size: int = 0
     #: Low-level join work.
     joins: JoinCounters = field(default_factory=JoinCounters)
-    #: Recovery actions taken by the supervised parallel evaluator
-    #: (retries, pool rebuilds, degradations); all-zero for clean runs.
+    #: The backend the evaluation ran on, degradations, and serving
+    #: activity; all-zero counters for a plain evaluation.
     health: HealthReport = field(default_factory=HealthReport)
     #: The join orders this evaluation ran.  Excluded from equality:
     #: planning metadata never affects *what* was computed.

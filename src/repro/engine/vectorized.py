@@ -1618,10 +1618,9 @@ def select_packed_specialization(plan: CompiledRule, predicate_name: str,
     This is the packed closure's batch planner: the two-scan binary
     shape (:class:`PackedBinaryJoin`) is preferred, then the 3-atom
     chain shape (:class:`PackedChainJoin`, any head arity); plans that
-    fit neither run the generic interned pipeline.  The same selection
-    runs in the parent (serial and thread backends) and in each process
-    worker, so grouped evaluation — and its join counters — is
-    identical on every backend.
+    fit neither run the generic interned pipeline.  The serial and
+    thread backends share the one selection, so grouped evaluation —
+    and its join counters — is identical on every backend.
     """
     if arity == 2:
         binary = PackedBinaryJoin.try_specialize(plan, predicate_name, base_k)

@@ -388,8 +388,8 @@ class MaintainedClosure:
         """A driver-grade evaluator over the recursive rules.
 
         Fresh per phase: the working database mutates between phases,
-        and process-backend pools pickle the database at pool start, so
-        the pool must not outlive the EDB state it was built over.
+        so the evaluator must not outlive the EDB state it was built
+        over.
 
         The cascade always runs on the serial batch executor, whatever
         the configured executor/backend: maintenance deltas are small

@@ -50,8 +50,7 @@ class Database:
     def __reduce__(self) -> tuple:
         """Pickle only the relations; caches and the lock are rebuilt.
 
-        The process-backend executor ships a database to each worker once
-        per pool; every worker then owns an independent index cache.
+        An unpickled copy owns an independent index cache and domain.
         """
         return (Database, (dict(self.relations),))
 
@@ -202,8 +201,7 @@ class Database:
         One :class:`~repro.storage.domain.Domain` per database: every
         interned structure over this database's relations shares it, so
         ids are comparable across relations.  Like the index cache it is
-        not part of the pickled state — process workers either rebuild
-        it or are seeded explicitly to reproduce the parent's ids.
+        not part of the pickled state: an unpickled copy rebuilds it.
         """
         domain: Domain | None = self._domain  # type: ignore[attr-defined]
         if domain is not None:
@@ -342,9 +340,9 @@ class Database:
 
         Builds (or incrementally extends) the canonical interned form of
         each relation, so the domain afterwards contains every value the
-        EDB can contribute.  The packed closure and the process-backend
-        worker seeding both run this before freezing a packing base or
-        snapshotting the domain.
+        EDB can contribute.  The packed closure runs this before
+        freezing a packing base, the checkpoint writer before storing
+        the domain.
         """
         for relation in self.relations.values():
             self.interned_relation(relation.name, relation.arity)

@@ -50,9 +50,9 @@ class Domain:
 
     ``intern`` assigns the next free id to an unseen value and returns
     the existing id otherwise; ``value_of`` inverts.  Ids are assigned
-    in first-intern order, so two domains seeded with the same value
-    sequence (:meth:`seed`) assign identical ids — this is how process
-    workers reconstruct the parent's id space.
+    in first-intern order, so two domains built from the same value
+    sequence assign identical ids — this is how a checkpoint restores
+    the id space (``Domain(values_snapshot())``).
     """
 
     __slots__ = ("_ids", "_values", "_lock")
@@ -103,26 +103,10 @@ class Domain:
         """The values with ids ``start ..`` at the time of the call.
 
         Because the domain is append-only, a snapshot plus later tail
-        snapshots fully describe the id assignment at any point; the
-        process backend ships exactly these to keep worker domains in
-        sync with the parent.
+        snapshots fully describe the id assignment at any point; a
+        checkpoint stores exactly this to restore the ids.
         """
         return self._values[start:]
-
-    def seed(self, values: Sequence[Any]) -> None:
-        """Intern *values* in order, reproducing another domain's ids.
-
-        Seeding is idempotent: values already present must already
-        carry the id their position implies (anything else means the
-        two domains diverged, which is a programming error).
-        """
-        for position, value in enumerate(values):
-            ident = self.intern(value)
-            if ident != position:
-                raise ValueError(
-                    f"Domain seed mismatch at position {position}: "
-                    f"{value!r} already has id {ident}"
-                )
 
     def __len__(self) -> int:
         return len(self._values)
@@ -278,9 +262,9 @@ def unpack_packed_columns(packed_rows: Iterable[int], base: int,
     The inverse of the packed closure's head packing
     (``sum(id_i * base**(arity-1-i))``): column ``p`` holds each row's
     digit at position ``p``, in the iteration order of *packed_rows*.
-    Shared by the serial packed closure, the thread-backend packed
-    tasks, and the shared-memory process workers, so every backend
-    materialises identical column views from the same packed rows.
+    Shared by the serial packed closure and the thread-backend packed
+    tasks, so every backend materialises identical column views from
+    the same packed rows.
     The common low arities take a single-pass comprehension; the
     generic path peels base-``base`` digits.
     """

@@ -14,9 +14,7 @@ the executor handles a join step with no bound columns.
 
 A :class:`HashIndex` is immutable after construction (its buckets are
 only ever read), so one index may be shared freely across the threads of
-the parallel executor; it also pickles cleanly for the process backend,
-although the workers there prefer to rebuild indexes locally from the
-shipped relations.
+the parallel executor.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class Relation:
         """Pickle name/arity/rows only.
 
         The extension lineage holds a weak reference (unpicklable) and
-        is a cache hint, not state; process workers rebuild caches
+        is a cache hint, not state; an unpickled copy rebuilds caches
         locally.  Unpickling through :meth:`from_canonical` also skips
         re-validating rows that were canonical by construction.
         """

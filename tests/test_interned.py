@@ -84,8 +84,7 @@ class TestDomain:
         domain = Domain()
         for value in ("p", "q", "r"):
             domain.intern(value)
-        replayed = Domain()
-        replayed.seed(domain.values_snapshot())
+        replayed = Domain(domain.values_snapshot())
         assert replayed.intern("q") == domain.intern("q")
         assert list(replayed) == list(domain)
 

@@ -1,32 +1,29 @@
 """Tests for the packed-id closure on the parallel backends.
 
-PR 4 proved the serial packed closure bit-identical to the value-space
+The serial packed closure is bit-identical to the value-space
 executors; this suite holds the thread backend (striped shared sink)
-and the process backend (shared-memory delta/result exchange) to the
-same bar: identical result relations, identical derivation/duplicate
-statistics, and identical low-level join counters, across every
-backend, on the grouped binary, grouped chain (3-atom, binary and 5-ary
-heads) and generic interned shapes — plus
-byte-identical 3-run determinism, both shared-memory wire formats, and
-the leak guarantees of the segment ring (including a worker crash
-mid-iteration).
+— and ``processes``, its accepted spelling — to the same bar:
+identical result relations, identical derivation/duplicate statistics,
+and identical low-level join counters, across every backend, on the
+grouped binary, grouped chain (3-atom, binary and 5-ary heads) and
+generic interned shapes — plus byte-identical 3-run determinism and
+errors that reach the caller unchanged.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import random
-import signal
+import time
 
 import pytest
 
 from repro.datalog.parser import parse_rule
-from repro.engine import shm
 from repro.engine.decomposed import pairwise_decomposed_closure
 from repro.engine.naive import naive_closure
 from repro.engine.parallel import (
     EvalConfig,
+    PackedClosure,
     ParallelEvaluator,
     StripedPackedSink,
 )
@@ -39,7 +36,6 @@ from repro.engine.vectorized import (
     packed_specialization_shape,
     select_packed_specialization,
 )
-from repro.exceptions import EvaluationError
 from repro.storage.database import Database
 from repro.storage.relation import Relation
 from repro.workloads.graphs import layered_dag_edges
@@ -212,20 +208,36 @@ class TestPackedParity:
         assert relation.rows == reference.rows
         assert full_signature(statistics) == full_signature(reference_stats)
 
-    def test_flat_wire_format_agrees(self, monkeypatch):
-        """Forcing the flat digit wire (huge-domain fallback) is exact."""
-        import repro.engine.parallel as parallel
+    def test_task_error_propagates_unchanged(self, monkeypatch):
+        """A raising threads task reaches the caller on its first attempt.
 
-        monkeypatch.setattr(parallel, "packed_wire_fits",
-                            lambda base, arity: False)
-        reference, reference_stats = run_closure(
-            seminaive_closure, "wide5", None
-        )
-        relation, statistics = run_closure(
-            seminaive_closure, "wide5", packed_config("processes")
-        )
-        assert relation.rows == reference.rows
-        assert full_signature(statistics) == full_signature(reference_stats)
+        Its original type, each task run at most once, no retry, no
+        degradation and no backoff sleep: nothing stands between a task
+        and the caller.
+        """
+        attempts = []
+
+        def failing_task(closure, rows, *rest):
+            attempts.append(id(rows))
+            raise ZeroDivisionError("task body")
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds}s")
+
+        monkeypatch.setattr(PackedClosure, "_packed_thread_task",
+                            failing_task)
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        rules, database, initial = scenario_layered_tc()
+        statistics = EvaluationStatistics()
+        with pytest.raises(ZeroDivisionError, match="task body"):
+            seminaive_closure(rules, initial, database, statistics,
+                              config=packed_config("threads"))
+        assert attempts
+        assert len(attempts) == len(set(attempts))
+        health = statistics.health
+        assert health.task_retries == health.iteration_retries == 0
+        assert health.degradations == []
+        assert health.backend == "threads"
 
 
 # ----------------------------------------------------------------------
@@ -328,162 +340,3 @@ class TestStripedPackedSink:
         for chunk in chunks:
             expected |= chunk
         assert sink.drain() == expected
-
-
-# ----------------------------------------------------------------------
-# Shared-memory lifecycle
-# ----------------------------------------------------------------------
-
-
-def _stale_segments() -> list[str]:
-    try:
-        return [name for name in os.listdir("/dev/shm")
-                if name.startswith(shm.SEGMENT_PREFIX)]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
-@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
-                    reason="needs a POSIX /dev/shm")
-class TestSharedMemoryLifecycle:
-    def test_closure_leaves_no_segments(self):
-        assert not _stale_segments()
-        run_closure(seminaive_closure, "wide5", packed_config("processes"))
-        assert not _stale_segments()
-
-    def test_worker_crash_mid_iteration_recovers_and_leaves_no_segments(self):
-        """A SIGKILLed pool is rebuilt, the closure completes exactly.
-
-        The supervisor catches the ``BrokenProcessPool``, rebuilds the
-        pool (re-seeded domains, recycled segments) and replays the
-        iteration from the last committed state — so the final relation
-        and the full counter signature still match the fault-free serial
-        reference, with the recovery recorded on the health report.
-        """
-        assert not _stale_segments()
-        reference, reference_stats = run_closure(
-            seminaive_closure, "wide5", None
-        )
-        rules, database, initial = scenario_wide5()
-        database = Database(dict(database.relations))
-        plans = [compile_rule(rule, database) for rule in rules]
-        config = packed_config("processes")
-        statistics = EvaluationStatistics()
-        with ParallelEvaluator(plans, database, config,
-                               health=statistics.health) as evaluator:
-            packed = evaluator.packed_closure(initial)
-            assert packed is not None
-            # One good iteration so the ring's segments exist...
-            statistics.iterations += 1
-            packed.step_seminaive(statistics)
-            assert evaluator._segment_ring is not None
-            assert _stale_segments()
-            # ...then hard-kill every worker mid-closure.
-            assert evaluator._pool is not None
-            for process in evaluator._pool._processes.values():
-                os.kill(process.pid, signal.SIGKILL)
-            while packed.delta_size():
-                statistics.iterations += 1
-                packed.step_seminaive(statistics)
-            relation = packed.freeze()
-            statistics.result_size = len(relation)
-        assert relation.rows == reference.rows
-        assert full_signature(statistics) == full_signature(reference_stats)
-        assert statistics.health.pool_rebuilds >= 1
-        assert statistics.health.iteration_retries >= 1
-        assert statistics.health.segments_recycled >= 1
-        assert not _stale_segments()
-
-    def test_worker_crash_with_retries_disabled_raises_without_leaks(self):
-        """``max_retries=0, on_failure="raise"`` keeps the old contract:
-        the crash surfaces, and the unwind still unlinks every segment."""
-        assert not _stale_segments()
-        rules, database, initial = scenario_wide5()
-        database = Database(dict(database.relations))
-        plans = [compile_rule(rule, database) for rule in rules]
-        config = packed_config("processes", max_retries=0,
-                               on_failure="raise")
-        statistics = EvaluationStatistics()
-        with pytest.raises(EvaluationError):
-            with ParallelEvaluator(plans, database, config) as evaluator:
-                packed = evaluator.packed_closure(initial)
-                assert packed is not None
-                packed.step_seminaive(statistics)
-                assert evaluator._pool is not None
-                for process in evaluator._pool._processes.values():
-                    os.kill(process.pid, signal.SIGKILL)
-                packed.step_seminaive(statistics)
-        assert not _stale_segments()
-
-    def test_segment_allocation_failure_leaves_no_orphan(self, monkeypatch):
-        """Allocate-then-register atomicity in ``ManagedSegment.ensure``.
-
-        If ``SharedMemory`` raises *after* the OS object exists (the
-        ``ftruncate``/``mmap`` half of creation fails), the orphan must
-        be unlinked before the exception propagates — previously it
-        survived unreachable by any ``close_unlink()``.
-        """
-        assert not _stale_segments()
-        real = shm.shared_memory.SharedMemory
-
-        class ExplodingSharedMemory:
-            def __init__(self, *args, **kwargs):
-                if kwargs.get("create"):
-                    # Create the OS object for real, then fail as if the
-                    # mapping step had raised.
-                    real(*args, **kwargs).close()
-                    raise MemoryError("simulated mmap failure")
-                self._shm = real(*args, **kwargs)
-
-            def __getattr__(self, name):
-                return getattr(self._shm, name)
-
-        monkeypatch.setattr(shm.shared_memory, "SharedMemory",
-                            ExplodingSharedMemory)
-        segment = shm.ManagedSegment()
-        with pytest.raises(MemoryError):
-            segment.ensure(64)
-        monkeypatch.undo()
-        assert not _stale_segments()
-
-    def test_segment_ring_close_is_idempotent(self):
-        ring = shm.SegmentRing(2)
-        ring.delta.ensure(64)
-        ring.result(0).ensure(64)
-        assert _stale_segments()
-        ring.close()
-        ring.close()
-        assert not _stale_segments()
-
-    def test_managed_segment_grows_by_replacement(self):
-        segment = shm.ManagedSegment()
-        segment.ensure(16)
-        first = segment.name
-        from array import array
-
-        segment.write_q(array("q", [1, 2]))
-        assert list(segment.read_q(2)) == [1, 2]
-        segment.ensure(1 << 20)
-        assert segment.name != first
-        assert segment.capacity >= 1 << 20
-        segment.close_unlink()
-        assert not _stale_segments()
-
-
-class TestWireFormats:
-    def test_packed_wire_bounds(self):
-        assert shm.packed_wire_fits(1000, 2)
-        assert shm.packed_wire_fits(6000, 5)
-        assert not shm.packed_wire_fits(10_000, 5)
-        assert shm.packed_wire_fits(7, 0)
-
-    @pytest.mark.parametrize("packed_wire", [True, False])
-    def test_encode_decode_roundtrip(self, packed_wire):
-        base, arity = 97, 3
-        rows = {((5 * base) + 7) * base + 11, 0, base ** 3 - 1}
-        buffer = shm.encode_delta(rows, len(rows), arity, base, packed_wire)
-        expected_len = len(rows) * (1 if packed_wire else arity)
-        assert len(buffer) == expected_len
-        decoded = set(shm.decode_result(buffer, len(rows), arity, base,
-                                        packed_wire))
-        assert decoded == rows

@@ -2,10 +2,10 @@
 
 The correctness bar: every valid ``mode × backend`` cell (``rows`` and
 ``batch`` on ``serial``; ``interned`` on ``serial``, ``threads`` and
-``processes``) must produce the identical result relation and identical
-Theorem-3.1 statistics as the interpreted oracle, every invalid cell
-must be rejected at construction, and repeated runs must be
-byte-identical.
+``processes``, the accepted spelling of ``threads``) must produce the
+identical result relation and identical Theorem-3.1 statistics as the
+interpreted oracle, every invalid cell must be rejected at
+construction, and repeated runs must be byte-identical.
 """
 
 from __future__ import annotations
@@ -156,16 +156,20 @@ class TestModeBackendGrid:
             == theorem_signature(oracle, oracle_stats)
 
     def test_escape_hatches_are_gone(self):
-        """The exchange, delta-maintenance, checksum and re-planning knobs
-        have no field, so naming one — like any unknown keyword — is a ``TypeError``."""
+        """The exchange, delta-maintenance, checksum, re-planning and
+        pool-supervision knobs have no field, so naming one — like any
+        unknown keyword — is a ``TypeError``."""
         assert {field.name for field in dataclasses.fields(EvalConfig)} == {
             "executor", "backend", "max_workers", "partitions",
-            "min_partition_rows", "intern", "task_timeout", "deadline",
-            "max_retries", "retry_backoff", "on_failure", "fault_plan",
+            "min_partition_rows", "intern", "deadline",
             "maintain", "durable", "planner",
         }
         with pytest.raises(TypeError):
             EvalConfig(pickled_exchange=True)
+        for knob in ("task_timeout", "max_retries", "retry_backoff",
+                     "on_failure", "fault_plan"):
+            with pytest.raises(TypeError):
+                EvalConfig(**{knob: None})
         with pytest.raises(TypeError):
             # The deleted adaptive drift trigger, its name split so the
             # retired identifier appears nowhere in the tree.
@@ -185,7 +189,75 @@ class TestModeBackendGrid:
 # ----------------------------------------------------------------------
 
 
+def drive_seminaive(config):
+    rules, database, initial = scenario_layered_tc()
+    stats = EvaluationStatistics()
+    return seminaive_closure(rules, initial, database, stats,
+                             config=config), stats, 1
+
+
+def drive_naive(config):
+    rules, database, initial = scenario_layered_tc()
+    stats = EvaluationStatistics()
+    return naive_closure(rules, initial, database, stats,
+                         config=config), stats, 1
+
+
+def drive_decomposed(config):
+    first = parse_rule("p(X, Y) :- p(U, Y), q(X, U).")
+    second = parse_rule("p(X, Y) :- p(X, V), r(V, Y).")
+    q = Relation.of("q", 2, [(i, i + 1) for i in range(8)])
+    r = Relation.of("r", 2, [(i, i + 1) for i in range(8)])
+    initial = Relation.of("p", 2, [(0, 0), (3, 3)])
+    stats = EvaluationStatistics()
+    return decomposed_closure([(first,), (second,)], initial,
+                              Database.of(q, r), stats, config=config), stats, 2
+
+
+def drive_separable(config):
+    outer = (parse_rule("reach(X, Y) :- left(X, U), reach(U, Y)."),)
+    inner = (parse_rule("reach(X, Y) :- reach(X, V), right(V, Y)."),)
+    left = Relation.of("left", 2, [(i, i + 1) for i in range(10)])
+    right = Relation.of("right", 2, [(i, i + 1) for i in range(10)])
+    initial = Relation.of("reach", 2, [(i, i) for i in range(11)])
+    stats = EvaluationStatistics()
+    return separable_evaluate(outer, inner, EqualitySelection(0, 0), initial,
+                              Database.of(left, right), stats,
+                              config=config), stats, 2
+
+
+def shm_segments() -> set[str]:
+    try:
+        return {name for name in os.listdir("/dev/shm")
+                if name.startswith("repro-")}
+    except FileNotFoundError:  # pragma: no cover - no POSIX shm
+        return set()
+
+
 class TestBackendParity:
+    @pytest.mark.parametrize("drive", [drive_seminaive, drive_naive,
+                                       drive_decomposed, drive_separable],
+                             ids=["seminaive", "naive", "decomposed",
+                                  "separable"])
+    def test_processes_spelling_runs_on_threads(self, drive):
+        """``backend="processes"`` stays valid and runs on threads: the
+        serial result and Theorem-3.1 counts, one recorded
+        ``processes->threads`` degradation per evaluator, no retries and
+        no shared-memory segment."""
+        before = shm_segments()
+        serial_rel, serial_stats, _ = drive(None)
+        relation, stats, evaluators = drive(EvalConfig(
+            executor="batch", intern=True, backend="processes",
+            max_workers=2))
+        assert relation.rows == serial_rel.rows
+        assert theorem_signature(relation, stats) \
+            == theorem_signature(serial_rel, serial_stats)
+        health = stats.health
+        assert health.degradations == ["processes->threads"] * evaluators
+        assert health.backend == "threads"
+        assert health.task_retries == health.iteration_retries == 0
+        assert not shm_segments() - before
+
     @pytest.mark.parametrize("backend", ["threads"])
     def test_naive_matches_serial(self, backend):
         rules, database, initial = scenario_layered_tc()
