@@ -18,8 +18,8 @@ the whole executor trajectory is recorded in one artifact:
 * **interned** — ``EvalConfig(executor="batch", intern=True)``: the int
   specialisation over dictionary-encoded ids — ``array('q')``-backed
   interned columns, int-keyed pre-projected probe buckets, packed-int
-  head emission, and (on the serial backend) the whole fixpoint kept in
-  packed-id space with one decode at the end.
+  head emission, and the whole fixpoint kept in packed-id space with
+  one decode at the end.
 
 All engines must produce the identical result relation and identical
 derivation/duplicate counts (the Theorem 3.1 accounting); any mismatch

@@ -29,18 +29,6 @@ Timings where either side is below ``--min-seconds`` are ignored: at
 sub-10ms scale with ``--quick``'s single repeat the comparison would
 gate on scheduler noise.
 
-Speedup floors
---------------
-
-``--speedup-floor FIELD:MIN`` (repeatable) additionally gates recorded
-speedup fields of the *current* report — e.g.
-``--speedup-floor tc_speedup:1.05`` fails unless the report's
-``tc_speedup`` field reached 1.05.
-Floors detect the machine with ``os.cpu_count()`` instead of assuming a
-single-CPU runner: they are enforced only when both this machine and
-the benchmark run that produced the report (its recorded ``cpu_count``)
-have at least two usable CPUs, and are recorded as skipped otherwise.
-
 Usage::
 
     python benchmarks/check_bench_regression.py \
@@ -55,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
@@ -86,58 +73,6 @@ def load_report(path: pathlib.Path) -> dict:
 def load_results(path: pathlib.Path) -> dict[object, dict[str, float]]:
     report = load_report(path)
     return {_entry_key(entry): _series(entry) for entry in report["results"]}
-
-
-def check_speedup_floors(report: dict, floors: list[str]) -> list[str]:
-    """Enforce ``FIELD:MIN`` speedup floors against the current report.
-
-    Each floor names a numeric per-entry field (e.g.
-    ``tc512_speedup_threads``) and the minimum its best value must
-    reach.  Floors are *skipped* — recorded, never failed — unless both
-    this machine (``os.cpu_count()``) and the benchmark run that
-    produced the report (its recorded ``cpu_count``) had at least two
-    usable CPUs: a parallel backend cannot beat serial on one core, and
-    gating on it there would only test the scheduler.
-    """
-    cpus = os.cpu_count() or 1
-    recorded = report.get("cpu_count", 1)
-    enforced = cpus >= 2 and recorded >= 2
-    problems = []
-    for spec in floors:
-        field, _, minimum_text = spec.rpartition(":")
-        if not field:
-            raise SystemExit(f"--speedup-floor wants FIELD:MIN, got {spec!r}")
-        try:
-            minimum = float(minimum_text)
-        except ValueError:
-            raise SystemExit(
-                f"--speedup-floor wants FIELD:MIN, got {spec!r}"
-            ) from None
-        values = [
-            entry[field] for entry in report["results"]
-            if isinstance(entry.get(field), (int, float))
-        ]
-        if not values:
-            problems.append(
-                f"speedup floor {field}: field missing from every result "
-                f"entry of the current report"
-            )
-            continue
-        best = max(values)
-        if not enforced:
-            print(
-                f"  speedup floor {field} >= {minimum}: skipped "
-                f"(this machine has {cpus} CPU(s), the report recorded "
-                f"{recorded}); best observed {best}"
-            )
-        elif best < minimum:
-            problems.append(
-                f"speedup floor {field}: best {best}x is below the "
-                f"{minimum}x floor"
-            )
-        else:
-            print(f"  speedup floor {field} >= {minimum}: ok (best {best}x)")
-    return problems
 
 
 def comparable_pairs(baseline: dict, current: dict, min_seconds: float):
@@ -211,13 +146,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-calibrate", action="store_true",
                         help="compare raw seconds without dividing out the "
                              "median machine-speed factor")
-    parser.add_argument("--speedup-floor", action="append", default=[],
-                        metavar="FIELD:MIN",
-                        help="fail unless the best value of this numeric "
-                             "per-entry field in the current report reaches "
-                             "MIN; enforced only when both this machine "
-                             "(os.cpu_count()) and the report's recorded "
-                             "cpu_count have >= 2 CPUs (repeatable)")
     parser.add_argument("--update", action="store_true",
                         help="overwrite the baseline with the current report "
                              "instead of comparing")
@@ -240,10 +168,6 @@ def main(argv=None) -> int:
     )
     problems = compare(baseline, current, args.threshold, args.min_seconds,
                        factor)
-    if args.speedup_floor:
-        problems.extend(
-            check_speedup_floors(load_report(args.current), args.speedup_floor)
-        )
     if problems:
         print(
             f"FAIL: {len(problems)} recorded series regressed beyond "

@@ -15,15 +15,6 @@ each program to fixpoint through four independent engines:
   dictionary-encoded ids (``EvalConfig(executor="batch", intern=True)``,
   which on this serial path runs the whole closure in packed-id space).
 
-With ``--backend-seeds N``, the first ``N`` seeds of the range
-additionally sweep the **backend** axis: the interned executor — the
-only mode with a parallel form — runs on the ``threads`` backend, so
-the parallel merge accounting — per-worker ``total - |fresh|``
-reduction into a striped thread sink — is differentially fuzzed
-against the same reference signatures, not just the serial executors.
-Backend sweeps start a thread pool per closure, so CI applies them to
-a subset of the nightly seeds.
-
 With ``--query-seeds N``, the first ``N`` seeds additionally fuzz the
 query tier: for random bound/free adornments of the recursive
 predicate, the magic-sets demand rewrite
@@ -89,9 +80,6 @@ Usage::
     python benchmarks/fuzz_differential.py                 # default seed set
     python benchmarks/fuzz_differential.py --seeds 200     # nightly sweep
     python benchmarks/fuzz_differential.py --base-seed 7   # shift the set
-    python benchmarks/fuzz_differential.py --backend-seeds 10
-                                                           # + executor×backend
-                                                           # matrix on 10 seeds
     python benchmarks/fuzz_differential.py --query-seeds 25
                                                            # + magic-vs-reference
                                                            # query parity
@@ -214,8 +202,8 @@ def signature(relation: Relation, statistics: EvaluationStatistics):
     )
 
 
-#: Serial configs for the query-parity leg (the backend axis is already
-#: fuzzed by the closure sweep; the query leg fuzzes the *rewrite*).
+#: Configs for the query-parity leg (the query leg fuzzes the
+#: *rewrite*, so one config per executor).
 _QUERY_CONFIGS: tuple[tuple[str, EvalConfig | None], ...] = (
     ("rows", None),
     ("batch", EvalConfig(executor="batch")),
@@ -719,17 +707,7 @@ def check_wal(rules: tuple[Rule, ...], database: Database,
     return mismatches
 
 
-#: The parallel sweep: the packed closure on the threads backend.
-#: Two workers keep per-seed pool start-up bounded; partitions=3 forces
-#: real delta splits even on tiny deltas.
-PARALLEL_SWEEP = ("interned-threads",
-                  EvalConfig(executor="batch", intern=True, backend="threads",
-                             max_workers=2, partitions=3,
-                             min_partition_rows=2))
-
-
 def run_seed(seed: int, max_iterations: int,
-             sweep_backends: bool = False,
              query_sweep: bool = False,
              ivm_sweep: bool = False,
              wal_sweep: bool = False,
@@ -756,8 +734,6 @@ def run_seed(seed: int, max_iterations: int,
         ("batch", EvalConfig(executor="batch")),
         ("interned", EvalConfig(executor="batch", intern=True)),
     ]
-    if sweep_backends:
-        engines.append(PARALLEL_SWEEP)
     for label, config in engines:
         stats = EvaluationStatistics()
         relation = seminaive_closure(
@@ -815,11 +791,6 @@ def main(argv=None) -> int:
                         help="number of random programs to check (default 25)")
     parser.add_argument("--base-seed", type=int, default=0,
                         help="first seed of the range (default 0)")
-    parser.add_argument("--backend-seeds", type=int, default=0,
-                        help="additionally run the interned executor on "
-                             "the threads backend (striped sink) on the "
-                             "first N seeds of the range (default 0: serial "
-                             "only)")
     parser.add_argument("--query-seeds", type=int, default=0,
                         help="additionally check, on the first N seeds of "
                              "the range, that magic-sets demand-rewritten "
@@ -865,17 +836,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     failures = []
-    swept = 0
     health_runs: list[dict] = []
     for seed in range(args.base_seed, args.base_seed + args.seeds):
-        sweep = seed - args.base_seed < args.backend_seeds
         queries = seed - args.base_seed < args.query_seeds
         ivm = seed - args.base_seed < args.ivm_seeds
         wal = seed - args.base_seed < args.wal_seeds
         analysis = seed - args.base_seed < args.analysis_seeds
-        swept += sweep
         ok, description = run_seed(seed, args.max_iterations,
-                                   sweep_backends=sweep,
                                    query_sweep=queries,
                                    ivm_sweep=ivm,
                                    wal_sweep=wal,
@@ -883,8 +850,7 @@ def main(argv=None) -> int:
                                    health_sink=health_runs)
         if args.verbose or not ok:
             status = "ok  " if ok else "FAIL"
-            matrix = " [backend sweep]" if sweep else ""
-            matrix += " [query parity]" if queries else ""
+            matrix = " [query parity]" if queries else ""
             matrix += " [ivm parity]" if ivm else ""
             matrix += " [wal crash-recovery parity]" if wal else ""
             matrix += " [analysis renaming invariance]" if analysis else ""
@@ -922,10 +888,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    matrix_note = (
-        f"; interned on threads on the first {swept}"
-        if swept else ""
-    )
     ivm_note = (
         f"; maintained-vs-recompute parity on the first "
         f"{min(args.ivm_seeds, args.seeds)}"
@@ -945,7 +907,7 @@ def main(argv=None) -> int:
         f"ok: {args.seeds} random programs agree across interpreted, "
         f"compiled, batch and interned executors "
         f"(seeds {args.base_seed}..{args.base_seed + args.seeds - 1}"
-        f"{matrix_note}{ivm_note}{wal_note}{analysis_note})"
+        f"{ivm_note}{wal_note}{analysis_note})"
     )
     return 0
 

@@ -18,7 +18,7 @@ Quickstart — materialise a closure::
         path(X, Y) :- edge(X, Y).
     '''
     database = Database.of(Relation.of("edge", 2, [(1, 2), (2, 3)]))
-    closure = solve(program, database, config="interned-threads")
+    closure = solve(program, database, config="interned")
 
 Quickstart — answer queries (serving)::
 

@@ -28,9 +28,8 @@ The engine provides:
   (``EvalConfig(executor="batch", intern=True)``);
 * :mod:`repro.engine.parallel` — per-iteration execution of the
   compiled plans under an :class:`~repro.engine.parallel.EvalConfig`:
-  the serial ``rows``/``batch`` loop, and the packed-id closure
-  (``interned`` × backend ``serial``/``threads``) with delta
-  partitioning and a statistics-preserving Counter-free merge;
+  the ``rows``/``batch`` loop, and the packed-id closure
+  (``interned``) with its Counter-free Theorem-3.1 accounting;
 * :mod:`repro.engine.faults` — the deterministic crash-injection plans
   (:class:`~repro.engine.faults.CrashPlan`) driving the durability
   layer's recovery-parity suite;
@@ -55,7 +54,7 @@ from repro.engine.statistics import (
     RulePlanInfo,
 )
 from repro.engine.plan import CompiledRule, compile_rule, greedy_body_order
-from repro.engine.parallel import EvalConfig, ParallelEvaluator
+from repro.engine.parallel import EvalConfig, Evaluator
 from repro.engine.vectorized import execute_batch, execute_interned
 from repro.engine.conjunctive import evaluate_rule
 from repro.engine.naive import naive_closure
@@ -69,9 +68,9 @@ __all__ = [
     "DerivationGraph",
     "EvalConfig",
     "EvaluationStatistics",
+    "Evaluator",
     "HealthReport",
     "JoinCounters",
-    "ParallelEvaluator",
     "PlannerReport",
     "RulePlanInfo",
     "build_derivation_graph",

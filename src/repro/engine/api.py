@@ -59,7 +59,7 @@ def solve(program: Union[Program, str], database: Database,
     or Datalog text; *predicate* may be omitted when the program defines
     exactly one predicate; *config* may be an
     :class:`~repro.engine.parallel.EvalConfig` or a spec string such as
-    ``"interned-threads"`` (see :meth:`EvalConfig.from_spec`).
+    ``"interned"`` (see :meth:`EvalConfig.from_spec`).
 
     >>> from repro import Database, Relation, solve
     >>> database = Database.of(Relation.of("edge", 2, [(1, 2), (2, 3)]))

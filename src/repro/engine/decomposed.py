@@ -40,10 +40,10 @@ def decomposed_closure(groups: Sequence[Iterable[Rule]], initial: Relation,
     *statistics* (``phase-1`` is the first phase executed).  *config*
     (:class:`repro.engine.parallel.EvalConfig`) is forwarded to every
     phase's semi-naive closure, so the mode
-    (``rows``/``batch``/``interned``) and the backend apply to all
-    phases; all phases share one database and therefore one
-    value-interning domain.  Interned configurations run each phase as
-    a packed-id closure on every backend.  The config's ``deadline``
+    (``rows``/``batch``/``interned``) applies to all phases; all phases
+    share one database and therefore one value-interning domain.
+    Interned configurations run each phase as a packed-id closure.  The
+    config's ``deadline``
     budgets the whole call: every phase counts from its start.
     """
     started = time.monotonic()

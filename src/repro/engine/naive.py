@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from repro.datalog.rules import Rule
 from repro.engine.parallel import (
     EvalConfig,
-    ParallelEvaluator,
+    Evaluator,
     record_collapsed_productions,
 )
 from repro.engine.statistics import EvaluationStatistics
@@ -38,8 +38,7 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
     :func:`repro.engine.seminaive.seminaive_closure`), not per iteration.
     Rules are compiled once and re-executed against the growing total;
     *config* (:class:`repro.engine.parallel.EvalConfig`) selects the
-    mode (``rows``/``batch``/``interned``) and, for ``interned``, the
-    backend each iteration's total is split across.
+    mode (``rows``/``batch``/``interned``).
     """
     rules = tuple(rules)
     statistics = statistics if statistics is not None else EvaluationStatistics()
@@ -59,39 +58,34 @@ def naive_closure(rules: Iterable[Rule], initial: Relation, database: Database,
             )
     plans = plan_program(rules, database, config, statistics, initial)
 
-    # The evaluator logs its backend and any degradation onto this
-    # evaluation's health report.
-    with ParallelEvaluator(plans, database, config,
-                           health=statistics.health) as evaluator:
-        packed = evaluator.packed_closure(initial)
-        if packed is not None:
-            # Interned execution on any backend: the accumulated total
-            # stays in packed-id space.  On the serial backend its
-            # interned view and indexes are maintained incrementally
-            # from each iteration's new rows; the parallel backends
-            # repartition the grown total across workers per iteration.
-            for _ in range(max_iterations):
-                statistics.iterations += 1
-                fresh = packed.step_naive(statistics)
-                if fresh == 0:
-                    total = packed.freeze()
-                    statistics.result_size = len(total)
-                    return total
-            raise EvaluationError(
-                f"Naive evaluation did not converge within "
-                f"{max_iterations} iterations"
-            )
-        builder = RowSetBuilder(predicate_name, initial.arity, initial.rows)
-        total = initial
+    evaluator = Evaluator(plans, database, config)
+    packed = evaluator.packed_closure(initial)
+    if packed is not None:
+        # Interned execution: the accumulated total stays in packed-id
+        # space, and its interned view and indexes are maintained
+        # incrementally from each iteration's new rows.
         for _ in range(max_iterations):
             statistics.iterations += 1
-            pairs = evaluator.execute_batch({predicate_name: total}, statistics)
-            produced = record_collapsed_productions(pairs, builder, statistics)
-            new_rows = builder.add_all_new(produced)
-            if not new_rows:
+            fresh = packed.step_naive(statistics)
+            if fresh == 0:
+                total = packed.freeze()
                 statistics.result_size = len(total)
                 return total
-            total = builder.freeze()
+        raise EvaluationError(
+            f"Naive evaluation did not converge within "
+            f"{max_iterations} iterations"
+        )
+    builder = RowSetBuilder(predicate_name, initial.arity, initial.rows)
+    total = initial
+    for _ in range(max_iterations):
+        statistics.iterations += 1
+        pairs = evaluator.execute_batch({predicate_name: total}, statistics)
+        produced = record_collapsed_productions(pairs, builder, statistics)
+        new_rows = builder.add_all_new(produced)
+        if not new_rows:
+            statistics.result_size = len(total)
+            return total
+        total = builder.freeze()
     raise EvaluationError(
         f"Naive evaluation did not converge within {max_iterations} iterations"
     )

@@ -1,4 +1,4 @@
-"""Per-iteration execution of compiled rule plans, serial and parallel.
+"""Per-iteration execution of compiled rule plans.
 
 The fixpoint drivers (:mod:`repro.engine.seminaive`,
 :mod:`repro.engine.naive`, and through them ``decomposed``/``separable``)
@@ -7,76 +7,44 @@ Those applications are mutually independent: each reads the immutable
 EDB plus the iteration's delta and emits a multiset of head tuples, and
 the driver merges the emissions afterwards.  Theorem 3.1 makes the
 derivation/duplicate accounting of that merge order- and
-partition-independent, which is the one fact every path here relies on.
+partition-independent, so how an iteration is scheduled can change only
+its seconds, never its counts.
 
-Modes and backends
-------------------
+Modes
+-----
 
-:class:`EvalConfig` selects a **mode** — how one rule application runs —
-and a **backend** — where an iteration's applications run.
+:class:`EvalConfig` selects a **mode** — how one rule application runs.
+Every mode runs in-process, on the calling thread.
 
-``rows`` / ``batch`` (serial only)
+``rows`` / ``batch``
     The slot executor (:meth:`~repro.engine.plan.CompiledRule.execute`)
     and the column-oriented executor
     (:func:`repro.engine.vectorized.execute_batch`) run every plan
-    in-process through :meth:`ParallelEvaluator.execute_batch` and hand
-    the driver collapsed ``(row, multiplicity)`` pairs
-    (:func:`record_collapsed_productions` accounts them).  They have no
-    parallel form: shipping value rows to workers and merging
-    ``(row, multiplicity)`` pairs back lost to the same executor run
-    serially, and to the packed exchange on the same backend, on every
-    measured workload (numbers in ``src/repro/engine/README.md``), so a
-    parallel backend without ``intern`` is rejected rather than run on
-    a slower engine.
-``interned`` (``serial`` | ``threads``)
+    through :meth:`Evaluator.execute_batch` and hand the driver
+    collapsed ``(row, multiplicity)`` pairs
+    (:func:`record_collapsed_productions` accounts them).
+``interned``
     :class:`PackedClosure` keeps the whole fixpoint in packed integer
-    ids and decodes once at the end.  This is the only thing "a
-    parallel backend" means.  ``processes`` is an accepted spelling of
-    ``threads``: there is no process pool, so
-    :meth:`ParallelEvaluator.__enter__` runs it on threads and records
-    one ``processes->threads`` degradation on the
-    :class:`~repro.engine.statistics.HealthReport`.
+    ids and decodes once at the end.
 
-The packed-id exchange
-----------------------
-
-A parallel iteration splits the delta across workers: plans that scan
-the recursive predicate exactly once run over one part each (every
-derivation consumes exactly one delta row, so the emission multiset of
-the whole delta is the disjoint union of the parts'); any other plan
-runs once, unpartitioned.  The Theorem-3.1 merge is Counter-free: each
-worker reports its emission *total* and merges its *distinct* packed
-set into a :class:`StripedPackedSink`; at the barrier the totals sum,
-the sink drains, and duplicates are ``total - |fresh|`` — the same
-accounting the serial packed path uses, so results and
-derivation/duplicate statistics are bit-identical on every backend.
-
-Workers are a :class:`~concurrent.futures.ThreadPoolExecutor` sharing
-the parent database, domain and interned index caches (immutable reads;
-the caches take a lock).  On GIL-bound CPython builds pure-Python join
-work does not speed up, so this backend is mainly a ready path for
-free-threaded builds.  An exception raised by a task propagates to the
-caller unchanged.
+The ``backend`` spellings ``threads`` and ``processes`` are accepted
+and normalised to ``serial``: no pool ever beat the serial packed
+closure, because the joins are pure Python under the GIL (numbers in
+``src/repro/engine/README.md``).  This module keeps its name because
+instrumentation patches :meth:`PackedClosure.freeze` by module path.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.datalog.terms import Constant
 from repro.engine.plan import CompiledRule
-from repro.engine.statistics import (
-    EvaluationStatistics,
-    HealthReport,
-    JoinCounters,
-)
+from repro.engine.statistics import EvaluationStatistics
 from repro.engine.vectorized import (
     InternedDeltaCache,
     decode_packed_rows,
@@ -99,8 +67,8 @@ from repro.storage.relation import Relation, Row, RowSetBuilder
 #: (:mod:`repro.engine.vectorized`).
 EXECUTORS = ("rows", "batch")
 
-#: The scheduling backends accepted by :class:`EvalConfig`;
-#: ``processes`` is a spelling of ``threads`` (see the module docstring).
+#: The backend spellings accepted by :class:`EvalConfig`; every one of
+#: them means ``serial`` (see the module docstring).
 BACKENDS = ("serial", "threads", "processes")
 
 #: The join-order planner spellings accepted by :class:`EvalConfig`;
@@ -115,39 +83,27 @@ class EvalConfig:
     An ``EvalConfig`` is accepted by ``seminaive_closure``,
     ``naive_closure``, ``decomposed_closure``, ``separable_evaluate`` and
     ``solve_linear_recursion`` and threaded down to the per-rule
-    executor.  It selects
+    executor.  It selects a *mode* — how one rule application runs:
+    ``executor="rows"`` (the slot executor, one row at a time),
+    ``executor="batch"`` (the column-oriented executor of
+    :mod:`repro.engine.vectorized`), or ``executor="batch", intern=True``
+    (its *int specialisation*: values are dictionary-encoded into dense
+    ids through the database's :class:`~repro.storage.domain.Domain` and
+    the whole fixpoint runs on packed integers, :class:`PackedClosure`;
+    ``executor="interned"`` is sugar for the pair).
 
-    * a *mode* — how one rule application runs: ``executor="rows"`` (the
-      slot executor, one row at a time), ``executor="batch"`` (the
-      column-oriented executor of :mod:`repro.engine.vectorized`), or
-      ``executor="batch", intern=True`` (its *int specialisation*:
-      values are dictionary-encoded into dense ids through the
-      database's :class:`~repro.storage.domain.Domain` and the whole
-      fixpoint runs on packed integers, :class:`PackedClosure`;
-      ``executor="interned"`` is sugar for the pair);
-    * a *backend* — where an iteration's rule applications run:
-      ``"serial"``, or, for the interned mode only, ``"threads"`` with
-      the delta partitioned across workers (``"processes"`` is accepted
-      and runs on threads).
-
-    The default (``rows`` on ``serial``) is exactly the single-threaded
-    compiled path.  Result relations and derivation/duplicate statistics
-    are identical for every valid combination; ``rows``/``batch`` on a
-    parallel backend is rejected (see the module docstring).
+    Every mode runs serially; ``backend`` and ``max_workers`` are kept
+    as accepted spellings.  Result relations and derivation/duplicate
+    statistics are identical for every mode.
     """
 
     #: One of :data:`EXECUTORS`.
     executor: str = "rows"
-    #: One of :data:`BACKENDS`; the parallel ones require ``intern``.
+    #: Always ``"serial"``; ``"threads"`` and ``"processes"`` are
+    #: accepted spellings, normalised to it.
     backend: str = "serial"
-    #: Worker count for the parallel backends; ``None`` means the CPUs
-    #: this process may run on.
+    #: Accepted (at least 1) and ignored: there is no worker pool.
     max_workers: Optional[int] = None
-    #: Hash partitions per partitionable delta; ``None`` tracks the
-    #: resolved worker count.
-    partitions: Optional[int] = None
-    #: Deltas smaller than this are never split (task overhead dominates).
-    min_partition_rows: int = 2
     #: Run the batch executor on interned ids (requires ``executor="batch"``).
     intern: bool = False
     #: Wall-clock budget (seconds) for the whole evaluation, every
@@ -179,35 +135,23 @@ class EvalConfig:
             object.__setattr__(self, "executor", "batch")
             object.__setattr__(self, "intern", True)
         if self.executor not in EXECUTORS:
-            hint = (f" ({self.executor!r} is a backend: spell it "
-                    f"EvalConfig.from_spec('interned-{self.executor}'))"
-                    if self.executor in BACKENDS else "")
             raise ValueError(
                 f"Unknown executor {self.executor!r}; expected one of "
-                f"{EXECUTORS}{hint}"
+                f"{EXECUTORS}"
             )
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"Unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
+        # Sugar, like ``planner`` below: serial is the only backend.
+        object.__setattr__(self, "backend", "serial")
         if self.intern and self.executor != "batch":
             raise ValueError(
                 "intern=True requires the batch executor "
                 "(EvalConfig(executor='batch', intern=True))"
             )
-        if self.backend != "serial" and not self.intern:
-            raise ValueError(
-                f"The {self.backend!r} backend runs the packed-id closure "
-                f"only and {self.executor!r} is serial-only; use "
-                f"EvalConfig.from_spec('interned-{self.backend}') "
-                f"(executor='batch', intern=True, backend={self.backend!r})"
-            )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
-        if self.partitions is not None and self.partitions < 1:
-            raise ValueError("partitions must be at least 1")
-        if self.min_partition_rows < 2:
-            raise ValueError("min_partition_rows must be at least 2")
         # A range test that NaN fails: it compares false both ways, so a
         # bare ``x <= 0`` check let it through and disabled the limit.
         if self.deadline is not None and not (0 < self.deadline < math.inf):
@@ -234,24 +178,20 @@ class EvalConfig:
 
         The canonical single-knob constructor the serving surface uses:
         a spec is dash-separated tokens — a *mode* (``rows``, ``batch``,
-        ``interned``), a *backend* (``serial``, ``threads``, or
-        ``processes``, a spelling of ``threads``), a *planner*
-        (``greedy``, ``costed``, ``adaptive``, all meaning greedy)
-        and/or the flag ``maintain``
-        (incremental view maintenance in the serving layer) in any
-        order; omitted parts keep their defaults.  Examples::
+        ``interned``), a *backend* (``serial``, ``threads``,
+        ``processes``, all meaning serial), a *planner* (``greedy``,
+        ``costed``, ``adaptive``, all meaning greedy) and/or the flags
+        ``maintain`` (incremental view maintenance in the serving layer)
+        and ``durable``, in any order; omitted parts keep their
+        defaults.  Examples::
 
-            EvalConfig.from_spec("interned-threads")
-            EvalConfig.from_spec("interned-threads-maintain")
-            EvalConfig.from_spec("batch")
             EvalConfig.from_spec("interned")
+            EvalConfig.from_spec("interned-maintain")
+            EvalConfig.from_spec("batch")
             EvalConfig.from_spec("")                 # the default config
 
-        A parallel backend needs the ``interned`` mode; ``rows-threads``
-        and the like raise, naming the ``interned-<backend>`` spelling.
-
         Keyword *overrides* are passed through to the constructor for
-        the long-tail knobs (``max_workers=...``, ``deadline=...``).
+        the long-tail knobs (``deadline=...``).
         """
         modes = {"rows": ("rows", False), "batch": ("batch", False),
                  "interned": ("batch", True)}
@@ -314,10 +254,6 @@ class EvalConfig:
             return f"{base}-durable"
         return f"{base}-maintain" if self.maintain else base
 
-    def is_parallel(self) -> bool:
-        """True if a worker pool is required."""
-        return self.backend != "serial"
-
     def batched(self) -> bool:
         """True if rule applications run on the column-oriented executor."""
         return self.executor == "batch"
@@ -331,25 +267,6 @@ class EvalConfig:
         if self.intern:
             return "interned"
         return self.executor
-
-    def resolved_workers(self) -> int:
-        """The effective worker count.
-
-        Defaults to the CPUs this process may run on — in a cgroup- or
-        affinity-limited container ``os.cpu_count()`` is the host's
-        count, far more workers than can run.
-        """
-        if self.max_workers is not None:
-            return self.max_workers
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-
-    def resolved_partitions(self) -> int:
-        """The effective number of delta partitions per partitionable rule."""
-        if self.partitions is not None:
-            return self.partitions
-        return self.resolved_workers()
 
 
 #: The default configuration: the serial compiled path.
@@ -369,7 +286,7 @@ def _collapse(emissions: list[Row]) -> list[tuple[Row, int]]:
 
 
 # ----------------------------------------------------------------------
-# The packed exchange
+# Packing
 # ----------------------------------------------------------------------
 
 
@@ -388,62 +305,18 @@ def intern_program_constants(plans: Sequence[CompiledRule],
                     domain.intern(term.value)
 
 
-class StripedPackedSink:
-    """The packed closure's shared fresh-row accumulator, striped.
-
-    Thread-backend packed tasks merge their distinct packed emissions
-    into this structure instead of shipping private sets back for a
-    serial union: rows are bucketed by ``packed % stripes`` and each
-    stripe has its own lock, so merges from different workers contend
-    only when they land on the same stripe.  ``drain()`` is called by
-    the parent at the iteration barrier, once every task has finished;
-    the union it returns is exactly the distinct emission set of the
-    iteration (stripes are disjoint by construction).  One sink serves
-    one iteration.  On GIL-bound builds the striping is
-    overhead-neutral; on free-threaded builds it is what keeps the merge
-    off the critical path.
-    """
-
-    __slots__ = ("_stripes", "_locks", "_n")
-
-    def __init__(self, stripes: int):
-        self._n = max(1, stripes)
-        self._stripes: list[set[int]] = [set() for _ in range(self._n)]
-        self._locks = [threading.Lock() for _ in range(self._n)]
-
-    def merge(self, rows: set[int]) -> None:
-        """Fold one task's distinct packed rows into the stripes."""
-        n = self._n
-        if n == 1:
-            with self._locks[0]:
-                self._stripes[0] |= rows
-            return
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        for packed in rows:
-            buckets[packed % n].append(packed)
-        for index, bucket in enumerate(buckets):
-            if bucket:
-                with self._locks[index]:
-                    self._stripes[index].update(bucket)
-
-    def drain(self) -> set[int]:
-        """The union of all stripes (barrier-side, after every merge)."""
-        return set().union(*self._stripes)
-
-
 # ----------------------------------------------------------------------
 # The evaluator
 # ----------------------------------------------------------------------
 
 
-class ParallelEvaluator:
+class Evaluator:
     """Executes per-iteration rule batches under an :class:`EvalConfig`.
 
-    Serial ``rows``/``batch`` drivers call :meth:`execute_batch` once
-    per iteration; interned drivers take a :class:`PackedClosure` from
-    :meth:`packed_closure` and step that instead.  A context manager:
-    the thread pool (if the backend has one) is created on
-    ``__enter__`` and lives for the whole closure.
+    ``rows``/``batch`` drivers call :meth:`execute_batch` once per
+    iteration; interned drivers take a :class:`PackedClosure` from
+    :meth:`packed_closure` and step that instead.  One evaluator serves
+    any number of closures over the same plans and database.
 
     *started* is the :func:`time.monotonic` instant the evaluation's
     ``deadline`` counts from; a multi-phase driver passes the instant
@@ -453,47 +326,13 @@ class ParallelEvaluator:
 
     def __init__(self, plans: Sequence[CompiledRule], database: Database,
                  config: Optional[EvalConfig] = None,
-                 health: Optional[HealthReport] = None,
                  started: Optional[float] = None):
         self.plans = list(plans)
         self.database = database
         self.config = config if config is not None else SERIAL_CONFIG
-        #: Where degradations land, usually the driver's
-        #: ``statistics.health``.
-        self.health = health if health is not None else HealthReport()
-        #: The backend iterations run on: the configured one, except
-        #: that ``processes`` runs on ``threads`` (see ``__enter__``).
-        self.backend = self.config.backend
         self.started = time.monotonic() if started is None else started
         #: Iterations started (1-based), for the deadline message.
         self.iteration = 0
-        self._pool: Optional[ThreadPoolExecutor] = None
-
-    # ------------------------------------------------------------------
-
-    def __enter__(self) -> "ParallelEvaluator":
-        if self.backend == "processes":
-            # No process pool exists: like any backend that cannot run,
-            # the spelling steps down a rung and says so.
-            self.backend = "threads"
-            self.health.degradations.append("processes->threads")
-        self.health.backend = self.backend
-        if self.backend == "threads":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.resolved_workers(),
-                thread_name_prefix="repro-eval",
-            )
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent)."""
-        if self._pool is not None:
-            # After a task raised, its siblings still queued never start.
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
 
     def start_iteration(self) -> None:
         """Mark one driver iteration; raise once the deadline is spent."""
@@ -511,9 +350,9 @@ class ParallelEvaluator:
 
     def execute_batch(self, overrides: Mapping[str, Relation],
                       statistics: EvaluationStatistics) -> list[tuple[Row, int]]:
-        """Apply every plan to *overrides* in-process; return collapsed emissions.
+        """Apply every plan to *overrides*; return collapsed emissions.
 
-        The serial ``rows``/``batch`` iteration (also what
+        The ``rows``/``batch`` iteration (also what
         :mod:`repro.ivm.maintain` drives its delta rules with).  The
         returned list holds ``(row, multiplicity)`` pairs — each plan's
         emission multiset collapsed (:func:`_collapse`) — in plan order.
@@ -539,11 +378,8 @@ class ParallelEvaluator:
     def packed_closure(self, initial: Relation) -> Optional["PackedClosure"]:
         """A packed-id-space closure, for every interned configuration.
 
-        The interned drivers keep the whole fixpoint in packed integers
-        and decode once at the end, on every backend; on ``threads`` the
-        workers share the parent's packed accumulator through a striped
-        sink.  ``None`` for the ``rows``/``batch`` modes, whose drivers
-        loop over :meth:`execute_batch`.
+        ``None`` for the ``rows``/``batch`` modes, whose drivers loop
+        over :meth:`execute_batch`.
         """
         if not self.config.interned():
             return None
@@ -553,44 +389,35 @@ class ParallelEvaluator:
 class PackedClosure:
     """A fixpoint closure kept entirely in packed-id space.
 
-    With interned execution — on *any* backend — the whole driver loop
-    runs on packed integers: the accumulated result is a ``set[int]``,
-    the per-iteration delta is a set of packed rows, and the executors
-    emit packed values directly
+    With interned execution the whole driver loop runs on packed
+    integers: the accumulated result is a ``set[int]``, the
+    per-iteration delta is a set of packed rows, and the executors emit
+    packed values directly
     (:func:`repro.engine.vectorized.execute_interned_into` with a frozen
     base).  Rows are decoded back to values exactly once, at
     :meth:`freeze` — per-iteration decode/re-intern round trips
     disappear, which is where the interned series' speedup over the
     value-level batch series comes from.
 
-    The ``threads`` backend runs the same iteration with the delta split
-    across workers (plans that scan the recursive predicate exactly once
-    partition; any other plan runs unpartitioned, once); tasks share the
-    parent database, domain and interned index caches directly and
-    merge their distinct packed emissions into a
-    :class:`StripedPackedSink`.
-
-    Derivation/duplicate accounting is Counter-free and
-    order-independent on every backend: each task reports its emission
-    *total* and its *distinct* packed set; at the iteration barrier the
-    totals sum, the distinct sets union, and Theorem 3.1's duplicates
-    are ``total - |fresh|`` with ``fresh = distinct - known`` — exactly
-    the bulk form of :func:`record_collapsed_productions` (packing is
-    injective, so counting packed ints equals counting rows).
+    Derivation/duplicate accounting is Counter-free: an iteration
+    yields its emission *total* and its *distinct* packed set, and
+    Theorem 3.1's duplicates are ``total - |fresh|`` with
+    ``fresh = distinct - known`` — exactly the bulk form of
+    :func:`record_collapsed_productions` (packing is injective, so
+    counting packed ints equals counting rows).  Both are additive over
+    any split of the delta (totals sum, distinct sets union), which is
+    why no schedule of an iteration can move the counts.
 
     The packing base is frozen at construction, after interning the full
     EDB, the program constants and the initial relation — every value a
     derivation can produce.
     """
 
-    def __init__(self, evaluator: "ParallelEvaluator", initial: Relation):
+    def __init__(self, evaluator: Evaluator, initial: Relation):
         database = evaluator.database
         self.database = database
         self.plans = evaluator.plans
         self.evaluator = evaluator
-        config = evaluator.config
-        self.partitions = config.resolved_partitions()
-        self.min_partition_rows = config.min_partition_rows
         domain = database.domain()
         self.domain = domain
         database.intern_all()
@@ -614,8 +441,8 @@ class PackedClosure:
         #: Per-plan grouped-join specialisation — the two-scan binary
         #: shape and the 3-atom chain shapes (any head arity), selected
         #: by :func:`repro.engine.vectorized.select_packed_specialization`
-        #: — with per-plan persistent groups for the serial naive
-        #: driver's incrementally maintained total.
+        #: — with per-plan persistent groups for the naive driver's
+        #: incrementally maintained total.
         self._fast: list[Optional[Any]] = [
             select_packed_specialization(plan, self.name, self.arity,
                                          self.base_k)
@@ -624,68 +451,32 @@ class PackedClosure:
         self._fast_groups: list[Optional[dict[int, list[int]]]] = (
             [None] * len(self.plans)
         )
-        #: Plans that scan the recursive predicate exactly once can have
-        #: the delta row-partitioned; every other plan runs once, whole.
-        self._splittable = tuple(
-            plan.scan_relation_names().count(self.name) == 1
-            for plan in self.plans
-        )
-        #: With no splittable plan at all there is no parallelism to
-        #: win — every iteration would hand the whole delta to a single
-        #: worker task — so such closures stay on the in-process path.
-        self._any_splittable = any(self._splittable)
-        self._split_plans = tuple(
-            i for i, ok in enumerate(self._splittable) if ok
-        )
-        self._solo_plans = tuple(
-            i for i, ok in enumerate(self._splittable) if not ok
-        )
 
     # ------------------------------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        """The backend iterations run on (``processes`` reads ``threads``)."""
-        return self.evaluator.backend
 
     def delta_size(self) -> int:
         """Rows in the current delta (0 once the fixpoint is reached)."""
         return len(self._delta_packed)
 
-    def _parallel_ready(self, n_rows: int) -> bool:
-        """Whether this iteration's rows are worth farming out."""
-        return (self.evaluator._pool is not None and self.partitions > 1
-                and self._any_splittable
-                and n_rows >= self.min_partition_rows)
-
     def _run(self, packed_rows: set[int], n_rows: int, naive: bool,
              statistics: EvaluationStatistics) -> tuple[int, set[int]]:
-        """All plans against the packed rows; returns (total, distinct)."""
+        """All plans against the packed rows; returns (total, distinct).
+
+        With *naive* the rows are the accumulated total, whose interned
+        view and grouped-join mappings persist across iterations
+        (:meth:`step_naive` extends them); a semi-naive delta gets
+        ephemeral ones.
+        """
         self.evaluator.start_iteration()
         statistics.rule_applications += len(self.plans)
-        if not self._parallel_ready(n_rows):
-            return self._run_serial(packed_rows, n_rows, naive,
-                                    statistics.joins)
-        return self._run_threads(packed_rows, statistics.joins)
-
-    def _run_serial(self, packed_rows: set[int], n_rows: int, naive: bool,
-                    counters: JoinCounters) -> tuple[int, set[int]]:
-        """The in-process iteration (also the small-delta fallback).
-
-        Persistent per-closure structures (the naive total's interned
-        view and grouped-join mappings) are only maintained on the
-        serial backend — a parallel backend reaching this path for a
-        below-threshold delta uses ephemeral views, since most of its
-        iterations never update the persistent ones.
-        """
-        persist = naive and self.backend == "serial"
+        counters = statistics.joins
         total = 0
         distinct: set[int] = set()
         view: Optional[InternedRelation] = None
         for i, plan in enumerate(self.plans):
             fast = self._fast[i]
             if fast is not None:
-                if persist:
+                if naive:
                     groups = self._fast_groups[i]
                     if groups is None:
                         groups = fast.build_groups(packed_rows, self.base_k)
@@ -695,14 +486,14 @@ class PackedClosure:
                 total += fast.run(groups, self.database, distinct, counters,
                                   n_rows)
                 continue
-            if view is None and persist:
+            if view is None and naive:
                 view = self._total_view
             if view is None:
                 view = InternedRelation(
                     self.name, self.arity,
                     self._unpack_columns(packed_rows), n_rows,
                 )
-                if persist:
+                if naive:
                     self._total_view = view
             emitted, _, _ = execute_interned_into(
                 plan, self.database, distinct, {self.name: view}, counters,
@@ -710,73 +501,6 @@ class PackedClosure:
             )
             total += emitted
         return total, distinct
-
-    # -- threads -------------------------------------------------------
-
-    def _run_threads(self, packed_rows: set[int],
-                     counters: JoinCounters) -> tuple[int, set[int]]:
-        """One iteration on the thread pool, via a striped sink.
-
-        The delta is partitioned by ``packed % partitions`` (stable
-        across runs — packed values are ints), each partition task runs
-        every partitionable plan over its part against the shared parent
-        database, and non-partitionable plans run once, in their own
-        task over the full delta.  Workers push distinct emissions into
-        the shared :class:`StripedPackedSink`; per-task totals and
-        counters return through the futures and reduce at the barrier.
-        """
-        pool = self.evaluator._pool
-        assert pool is not None
-        sink = StripedPackedSink(self.evaluator.config.resolved_workers())
-        work: list[tuple[Any, tuple[int, ...]]] = []
-        if self._split_plans:
-            parts: list[list[int]] = [[] for _ in range(self.partitions)]
-            for packed in packed_rows:
-                parts[packed % self.partitions].append(packed)
-            work.extend((part, self._split_plans) for part in parts if part)
-        if self._solo_plans:
-            work.append((packed_rows, self._solo_plans))
-        futures = [pool.submit(self._packed_thread_task, rows, plan_indices,
-                               sink)
-                   for rows, plan_indices in work]
-        total = 0
-        for task_total, task_counters in [f.result() for f in futures]:
-            total += task_total
-            counters.merge(task_counters)
-        return total, sink.drain()
-
-    def _packed_thread_task(self, rows: Any, plan_indices: tuple[int, ...],
-                            sink: StripedPackedSink
-                            ) -> tuple[int, JoinCounters]:
-        """Run packed plans over one delta part; emissions go to *sink*.
-
-        Each plan takes its grouped specialisation where the shape
-        allows and the generic interned pipeline otherwise.  Returns the
-        emission total (the multiset size) and the task's join counters.
-        """
-        counters = JoinCounters()
-        distinct: set[int] = set()
-        view: Optional[InternedRelation] = None
-        deltas: Optional[InternedDeltaCache] = None
-        total = 0
-        for index in plan_indices:
-            fast = self._fast[index]
-            if fast is not None:
-                groups = fast.build_groups(rows, self.base_k)
-                total += fast.run(groups, self.database, distinct, counters,
-                                  len(rows))
-                continue
-            if view is None:
-                view = InternedRelation(self.name, self.arity,
-                                        self._unpack_columns(rows), len(rows))
-                deltas = InternedDeltaCache(self.domain)
-            emitted, _, _ = execute_interned_into(
-                self.plans[index], self.database, distinct, {self.name: view},
-                counters, deltas, self.base_k,
-            )
-            total += emitted
-        sink.merge(distinct)
-        return total, counters
 
     def _unpack_columns(self, packed_rows: Any) -> tuple[list[int], ...]:
         return unpack_packed_columns(packed_rows, self.base_k, self.arity)

@@ -263,18 +263,6 @@ class CompiledRule:
         join(0)
         return emissions
 
-    def scan_relation_names(self) -> tuple[str, ...]:
-        """Names of the relations this plan scans, in execution order.
-
-        Repeats are preserved (a body with two atoms over the same
-        predicate contributes the name twice); equality steps contribute
-        nothing.  The parallel partitioner uses this to decide which
-        override relations a plan touches, and how many times.
-        """
-        return tuple(
-            step.name for step in self.steps if type(step) is _ScanStep
-        )
-
     def explain(self, executor: str = "rows") -> str:
         """Human-readable plan: one line per step in execution order.
 

@@ -20,7 +20,7 @@ from repro.datalog.programs import LinearRecursion
 from repro.datalog.rules import Rule
 from repro.engine.parallel import (
     EvalConfig,
-    ParallelEvaluator,
+    Evaluator,
     record_collapsed_productions,
 )
 from repro.engine.plan import compile_rule
@@ -53,10 +53,9 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
     *config* (:class:`repro.engine.parallel.EvalConfig`) selects the
     mode — ``rows`` (slot-at-a-time), ``batch`` (column-oriented,
     :mod:`repro.engine.vectorized`) or ``interned`` (the packed-id
-    closure) — and, for ``interned``, the backend each iteration's delta
-    is split across; the default is the serial row-at-a-time compiled
-    path.  Result relations and derivation/duplicate statistics are
-    identical for every combination.
+    closure); the default is the row-at-a-time compiled path.  Result
+    relations and derivation/duplicate statistics are identical for
+    every mode.
 
     *started* is the :func:`time.monotonic` instant the config's
     ``deadline`` counts from: a driver that runs this closure as one
@@ -82,38 +81,32 @@ def seminaive_closure(rules: Iterable[Rule], initial: Relation, database: Databa
     plans = plan_program(rules, database, config, statistics, initial)
 
     iterations = 0
-    # The evaluator logs its backend and any degradation onto this
-    # evaluation's health report.
-    with ParallelEvaluator(plans, database, config, health=statistics.health,
-                           started=started) as evaluator:
-        packed = evaluator.packed_closure(initial)
-        if packed is not None:
-            # Interned execution on any backend: the whole loop runs on
-            # packed integer ids and decodes to value rows exactly once.
-            # On threads each iteration's delta is split across workers
-            # that share the parent's accumulator through a striped
-            # sink and reduce Counter-free at the barrier.
-            while packed.delta_size() and iterations < max_iterations:
-                iterations += 1
-                statistics.iterations += 1
-                packed.step_seminaive(statistics)
-            if iterations >= max_iterations and packed.delta_size():
-                raise EvaluationError(
-                    f"Semi-naive evaluation did not converge within "
-                    f"{max_iterations} iterations"
-                )
-            total = packed.freeze()
-            statistics.result_size = len(total)
-            return total
-        builder = RowSetBuilder(predicate_name, initial.arity, initial.rows)
-        delta = initial
-        while delta.rows and iterations < max_iterations:
+    evaluator = Evaluator(plans, database, config, started=started)
+    packed = evaluator.packed_closure(initial)
+    if packed is not None:
+        # Interned execution: the whole loop runs on packed integer ids
+        # and decodes to value rows exactly once.
+        while packed.delta_size() and iterations < max_iterations:
             iterations += 1
             statistics.iterations += 1
-            pairs = evaluator.execute_batch({predicate_name: delta}, statistics)
-            produced = record_collapsed_productions(pairs, builder, statistics)
-            new_rows = builder.add_all_new(produced)
-            delta = Relation.from_canonical(predicate_name, initial.arity, new_rows)
+            packed.step_seminaive(statistics)
+        if iterations >= max_iterations and packed.delta_size():
+            raise EvaluationError(
+                f"Semi-naive evaluation did not converge within "
+                f"{max_iterations} iterations"
+            )
+        total = packed.freeze()
+        statistics.result_size = len(total)
+        return total
+    builder = RowSetBuilder(predicate_name, initial.arity, initial.rows)
+    delta = initial
+    while delta.rows and iterations < max_iterations:
+        iterations += 1
+        statistics.iterations += 1
+        pairs = evaluator.execute_batch({predicate_name: delta}, statistics)
+        produced = record_collapsed_productions(pairs, builder, statistics)
+        new_rows = builder.add_all_new(produced)
+        delta = Relation.from_canonical(predicate_name, initial.arity, new_rows)
     if iterations >= max_iterations and delta.rows:
         raise EvaluationError(
             f"Semi-naive evaluation did not converge within {max_iterations} iterations"
@@ -158,8 +151,7 @@ def solve_linear_recursion(recursion: LinearRecursion, database: Database,
 
     The exit rules produce ``Q``; the recursive rules are then iterated
     with semi-naive evaluation.  *config* selects the mode
-    (``rows``/``batch``/``interned``) for both phases and the backend of
-    the recursive one.  Returns the minimal model restricted to the
+    (``rows``/``batch``/``interned``) for both phases.  Returns the minimal model restricted to the
     recursive predicate.  The config's ``deadline`` counts from the
     start of this call, exit rules included.
     """

@@ -47,9 +47,8 @@ def separable_evaluate(outer_rules: Iterable[Rule], inner_rules: Iterable[Rule],
 
     *config* (:class:`repro.engine.parallel.EvalConfig`) is forwarded to
     both phases' semi-naive closures, so the mode
-    (``rows``/``batch``/``interned``) and the backend apply to both
-    phases; interned configurations run each phase as a packed-id
-    closure on every backend.  The config's ``deadline`` budgets the
+    (``rows``/``batch``/``interned``) applies to both phases; interned
+    configurations run each phase as a packed-id closure.  The config's ``deadline`` budgets the
     whole call: both phases count from its start.
     """
     started = time.monotonic()

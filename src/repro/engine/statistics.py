@@ -19,24 +19,20 @@ from typing import Optional
 class HealthReport:
     """What the evaluator and the serving layer did besides computing.
 
-    Nothing recorded here changes *what* was computed — results and the
-    Theorem-3.1 derivation/duplicate accounting are identical on every
-    backend.  The evaluator records the backend it ran on and any
-    backend degradation (``processes`` runs on ``threads``); the
-    durability and serving layers record WAL, checkpoint and guardrail
-    activity.  The report lives on :attr:`EvaluationStatistics.health`;
-    phase merging folds child reports into the parent like every other
+    Nothing recorded here changes *what* was computed.  The durability
+    and serving layers record WAL, checkpoint and guardrail activity.
+    The report lives on :attr:`EvaluationStatistics.health`; phase
+    merging folds child reports into the parent like every other
     counter.
     """
 
-    #: The backend evaluation ran on ("" before any evaluator ran;
-    #: differs from the configured backend only after a degradation).
-    backend: str = ""
-    #: Task attempts re-submitted; always 0 (a failing task raises).
+    #: Task attempts re-submitted; always 0 (there are no tasks to
+    #: retry).  Kept for readers of the report.
     task_retries: int = 0
     #: Whole iterations replayed; always 0 (a failing iteration raises).
     iteration_retries: int = 0
-    #: Degradation steps taken, e.g. ``["processes->threads"]``.
+    #: Degradation steps taken; always empty (every backend spelling
+    #: means serial).  Kept for readers of the report.
     degradations: list[str] = field(default_factory=list)
     #: Committed batches appended to the write-ahead log
     #: (:class:`repro.durability.DurableLog`).
@@ -66,8 +62,6 @@ class HealthReport:
         self.checkpoints_written += other.checkpoints_written
         self.commits_shed += other.commits_shed
         self.query_timeouts += other.query_timeouts
-        if other.backend:
-            self.backend = other.backend
 
     def recovery_actions(self) -> int:
         """Total recovery actions taken (0 for a clean run).
@@ -85,7 +79,6 @@ class HealthReport:
     def as_dict(self) -> dict[str, object]:
         """Flat dictionary (for reports and CI artifacts)."""
         return {
-            "backend": self.backend,
             "task_retries": self.task_retries,
             "iteration_retries": self.iteration_retries,
             "degradations": list(self.degradations),
@@ -177,8 +170,8 @@ class EvaluationStatistics:
     result_size: int = 0
     #: Low-level join work.
     joins: JoinCounters = field(default_factory=JoinCounters)
-    #: The backend the evaluation ran on, degradations, and serving
-    #: activity; all-zero counters for a plain evaluation.
+    #: Durability and serving activity; all-zero counters for a plain
+    #: evaluation.
     health: HealthReport = field(default_factory=HealthReport)
     #: The join orders this evaluation ran.  Excluded from equality:
     #: planning metadata never affects *what* was computed.

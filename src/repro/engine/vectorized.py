@@ -1618,9 +1618,7 @@ def select_packed_specialization(plan: CompiledRule, predicate_name: str,
     This is the packed closure's batch planner: the two-scan binary
     shape (:class:`PackedBinaryJoin`) is preferred, then the 3-atom
     chain shape (:class:`PackedChainJoin`, any head arity); plans that
-    fit neither run the generic interned pipeline.  The serial and
-    thread backends share the one selection, so grouped evaluation —
-    and its join counters — is identical on every backend.
+    fit neither run the generic interned pipeline.
     """
     if arity == 2:
         binary = PackedBinaryJoin.try_specialize(plan, predicate_name, base_k)
@@ -1780,6 +1778,6 @@ def describe_interned(plan: CompiledRule) -> str:
     if special is not None:
         lines.append(
             f"packed-closure specialization: {special} "
-            "(delta grouped by join key; selected on every backend)"
+            "(delta grouped by join key)"
         )
     return "\n".join(lines)

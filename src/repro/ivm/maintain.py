@@ -46,21 +46,20 @@ Updates run in two phases per batch:
   the new tuples through the drivers on the post-insert EDB.
 
 All fixpoint propagation goes through
-:class:`~repro.engine.parallel.ParallelEvaluator`, so maintenance runs
-under any mode and backend, and the differential fuzzer
+:class:`~repro.engine.parallel.Evaluator`, so maintenance runs
+under any mode, and the differential fuzzer
 asserts the maintained ``(T, counters)`` bit-identical to a cold
 recompute after every batch.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 from repro.datalog.atoms import Predicate
 from repro.datalog.programs import LinearRecursion, Program
-from repro.engine.parallel import EvalConfig, ParallelEvaluator
+from repro.engine.parallel import EvalConfig, Evaluator
 from repro.engine.plan import compile_rule
 from repro.engine.seminaive import seminaive_closure
 from repro.engine.statistics import EvaluationStatistics, JoinCounters
@@ -270,10 +269,8 @@ class MaintainedClosure:
             self.max_iterations, config=self.config,
         )
         supp: dict[Row, int] = {}
-        with self._evaluator() as evaluator:
-            scratch_stats = EvaluationStatistics()
-            pairs = evaluator.execute_batch({name: self.closure},
-                                            scratch_stats)
+        pairs = self._evaluator().execute_batch({name: self.closure},
+                                                EvaluationStatistics())
         for row, count in pairs:
             supp[row] = supp.get(row, 0) + count
         self.supp = supp
@@ -383,28 +380,24 @@ class MaintainedClosure:
             yield from execute_batch(plan, self._scratch,
                                      counters=self._joins)
 
-    @contextmanager
-    def _evaluator(self) -> Iterator[ParallelEvaluator]:
+    def _evaluator(self) -> Evaluator:
         """A driver-grade evaluator over the recursive rules.
 
         Fresh per phase: the working database mutates between phases,
         so the evaluator must not outlive the EDB state it was built
         over.
 
-        The cascade always runs on the serial batch executor, whatever
-        the configured executor/backend: maintenance deltas are small
-        and arrive round after round, so per-row executor overhead and
-        pool dispatch dominate there, while results and counters are
-        identical across executors (the differential harnesses assert
-        exactly that).  The configured execution strategy still governs
-        the cold-start fixpoint, where the big batches live.
+        The cascade always runs on the batch executor, whatever the
+        configured mode: maintenance deltas are small and arrive round
+        after round, so per-row executor overhead dominates there, while
+        results and counters are identical across executors (the
+        differential harnesses assert exactly that).  The configured
+        mode still governs the cold-start fixpoint, where the big
+        batches live.
         """
         plans = [compile_rule(rule, self.working)
                  for rule in self.recursion.recursive_rules]
-        health = EvaluationStatistics().health
-        with ParallelEvaluator(plans, self.working, self._delta_config,
-                               health=health) as evaluator:
-            yield evaluator
+        return Evaluator(plans, self.working, self._delta_config)
 
     def _negative_supp(self, row: Row) -> None:
         raise EvaluationError(
@@ -466,68 +459,68 @@ class MaintainedClosure:
             if row in closure_rows and row not in self.q
         }
         all_overdeleted = set(overdeleted)
-        with self._evaluator() as evaluator:
-            scratch_stats = EvaluationStatistics()
-            # Over-delete cascade: every tuple that loses a derivation
-            # and has no exit support is conservatively deleted; its
-            # consumers' support is decremented as the wave passes.
-            delta = overdeleted
-            rounds = 0
-            while delta:
-                rounds += 1
-                if rounds > self.max_iterations:
-                    raise EvaluationError(
-                        "Over-delete cascade did not converge within "
-                        f"{self.max_iterations} iterations"
-                    )
-                delta_relation = Relation.from_canonical(
-                    name, arity, frozenset(delta))
-                pairs = evaluator.execute_batch({name: delta_relation},
-                                                scratch_stats)
-                next_delta: set[Row] = set()
-                for row, count in pairs:
-                    value = supp.get(row, 0) - count
-                    if value > 0:
-                        supp[row] = value
-                    elif value == 0:
-                        supp.pop(row, None)
-                    else:
-                        self._negative_supp(row)
-                    if (row not in all_overdeleted and row in closure_rows
-                            and row not in q):
-                        next_delta.add(row)
-                        all_overdeleted.add(row)
-                delta = next_delta
+        evaluator = self._evaluator()
+        scratch_stats = EvaluationStatistics()
+        # Over-delete cascade: every tuple that loses a derivation
+        # and has no exit support is conservatively deleted; its
+        # consumers' support is decremented as the wave passes.
+        delta = overdeleted
+        rounds = 0
+        while delta:
+            rounds += 1
+            if rounds > self.max_iterations:
+                raise EvaluationError(
+                    "Over-delete cascade did not converge within "
+                    f"{self.max_iterations} iterations"
+                )
+            delta_relation = Relation.from_canonical(
+                name, arity, frozenset(delta))
+            pairs = evaluator.execute_batch({name: delta_relation},
+                                            scratch_stats)
+            next_delta: set[Row] = set()
+            for row, count in pairs:
+                value = supp.get(row, 0) - count
+                if value > 0:
+                    supp[row] = value
+                elif value == 0:
+                    supp.pop(row, None)
+                else:
+                    self._negative_supp(row)
+                if (row not in all_overdeleted and row in closure_rows
+                        and row not in q):
+                    next_delta.add(row)
+                    all_overdeleted.add(row)
+            delta = next_delta
 
-            # Re-derivation.  After the cascade, the remaining supp of
-            # an over-deleted tuple counts exactly its instantiations
-            # from surviving tuples over the post-delete EDB, so the
-            # seed needs no evaluation — this is what the support
-            # counters buy over textbook DRed.
-            restored = {
-                row for row in all_overdeleted
-                if supp.get(row, 0) > 0 or row in q
-            }
-            delta = set(restored)
-            rounds = 0
-            while delta:
-                rounds += 1
-                if rounds > self.max_iterations:
-                    raise EvaluationError(
-                        "Re-derivation did not converge within "
-                        f"{self.max_iterations} iterations"
-                    )
-                delta_relation = Relation.from_canonical(
-                    name, arity, frozenset(delta))
-                pairs = evaluator.execute_batch({name: delta_relation},
-                                                scratch_stats)
-                next_delta = set()
-                for row, count in pairs:
-                    supp[row] = supp.get(row, 0) + count
-                    if row in all_overdeleted and row not in restored:
-                        next_delta.add(row)
-                        restored.add(row)
-                delta = next_delta
+        # Re-derivation.  After the cascade, the remaining supp of
+        # an over-deleted tuple counts exactly its instantiations
+        # from surviving tuples over the post-delete EDB, so the
+        # seed needs no evaluation — this is what the support
+        # counters buy over textbook DRed.
+        restored = {
+            row for row in all_overdeleted
+            if supp.get(row, 0) > 0 or row in q
+        }
+        delta = set(restored)
+        rounds = 0
+        while delta:
+            rounds += 1
+            if rounds > self.max_iterations:
+                raise EvaluationError(
+                    "Re-derivation did not converge within "
+                    f"{self.max_iterations} iterations"
+                )
+            delta_relation = Relation.from_canonical(
+                name, arity, frozenset(delta))
+            pairs = evaluator.execute_batch({name: delta_relation},
+                                            scratch_stats)
+            next_delta = set()
+            for row, count in pairs:
+                supp[row] = supp.get(row, 0) + count
+                if row in all_overdeleted and row not in restored:
+                    next_delta.add(row)
+                    restored.add(row)
+            delta = next_delta
 
         removed_tuples = frozenset(all_overdeleted - restored)
         for row in removed_tuples:
@@ -582,28 +575,28 @@ class MaintainedClosure:
                 seeds.add(row)
 
         added_tuples = set(seeds)
-        with self._evaluator() as evaluator:
-            scratch_stats = EvaluationStatistics()
-            delta = seeds
-            rounds = 0
-            while delta:
-                rounds += 1
-                if rounds > self.max_iterations:
-                    raise EvaluationError(
-                        "Insert propagation did not converge within "
-                        f"{self.max_iterations} iterations"
-                    )
-                delta_relation = Relation.from_canonical(
-                    name, arity, frozenset(delta))
-                pairs = evaluator.execute_batch({name: delta_relation},
-                                                scratch_stats)
-                next_delta: set[Row] = set()
-                for row, count in pairs:
-                    supp[row] = supp.get(row, 0) + count
-                    if row not in closure_rows and row not in added_tuples:
-                        next_delta.add(row)
-                        added_tuples.add(row)
-                delta = next_delta
+        evaluator = self._evaluator()
+        scratch_stats = EvaluationStatistics()
+        delta = seeds
+        rounds = 0
+        while delta:
+            rounds += 1
+            if rounds > self.max_iterations:
+                raise EvaluationError(
+                    "Insert propagation did not converge within "
+                    f"{self.max_iterations} iterations"
+                )
+            delta_relation = Relation.from_canonical(
+                name, arity, frozenset(delta))
+            pairs = evaluator.execute_batch({name: delta_relation},
+                                            scratch_stats)
+            next_delta: set[Row] = set()
+            for row, count in pairs:
+                supp[row] = supp.get(row, 0) + count
+                if row not in closure_rows and row not in added_tuples:
+                    next_delta.add(row)
+                    added_tuples.add(row)
+            delta = next_delta
 
         if added_tuples:
             # extended_with keeps the extension lineage, so downstream

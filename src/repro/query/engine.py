@@ -235,7 +235,9 @@ class QueryEngine:
         self._labels: dict[tuple[str, bool], tuple[ReachabilityLabels, _Deps]] = {}
         self._recursions: dict[Predicate, LinearRecursion] = {}
         #: Answers per tier, plus ``magic_fallback``; shared with every
-        #: :meth:`with_database` sibling, hence the lock.
+        #: :meth:`with_database` sibling and updated from the
+        #: ``asyncio.to_thread`` workers :class:`repro.serve.LiveEngine`
+        #: answers on, hence the lock.
         self._served: Counter[str] = Counter()
         self._served_lock = threading.Lock()
 

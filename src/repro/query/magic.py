@@ -9,7 +9,7 @@ recursions this engine evaluates, and — crucially — produces programs of
 exactly that same shape, so the rewritten rules run through the
 **unchanged** compiled/vectorised/interned fixpoint drivers
 (:func:`repro.engine.seminaive.seminaive_closure` and friends) in every
-mode and on every backend.
+mode.
 
 Shape of the rewrite
 --------------------
@@ -74,7 +74,7 @@ demand; the guarded program then derives exactly the original
 ``p``-facts whose ``B``-projection is in the magic set.  Answers
 filtered by the query are therefore identical — bit for bit — to
 filtering the full closure, which the parity tests and the differential
-fuzzer assert across all modes and backends.
+fuzzer assert across all modes.
 """
 
 from __future__ import annotations

@@ -238,7 +238,7 @@ class LiveEngine:
             ...  # ResultChange per commit that moved the answer
 
     *config* may be an :class:`~repro.engine.parallel.EvalConfig` or a
-    spec string (``"interned-threads-maintain"``); when omitted the
+    spec string (``"interned-maintain"``); when omitted the
     engine defaults to maintained mode (``EvalConfig(maintain=True)``),
     since incremental maintenance is the point of serving live.  An
     explicit config without ``maintain`` selects the

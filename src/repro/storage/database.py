@@ -145,7 +145,8 @@ class Database:
         an index cached under the correct arity: it always reaches
         :meth:`relation`, which raises :class:`SchemaError`.
 
-        Thread-safe: concurrent lookups from the thread-backend executor
+        Thread-safe, because :class:`repro.serve.LiveEngine` answers
+        queries on ``asyncio.to_thread`` workers: concurrent lookups
         build under a lock, so each index is constructed at most once per
         stored relation generation.
         """

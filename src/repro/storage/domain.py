@@ -14,7 +14,9 @@ Three pieces live here:
 
 :class:`Domain`
     A per-:class:`~repro.storage.database.Database` interner: an
-    append-only, thread-safe bijection ``value ↔ id``.  Ids are dense
+    append-only, thread-safe bijection ``value ↔ id`` (thread-safe
+    because :class:`repro.serve.LiveEngine` answers queries on
+    ``asyncio.to_thread`` workers).  Ids are dense
     (``0 .. len-1``) and never change once assigned, so any structure
     built over interned ids stays valid as the domain grows.
 
@@ -262,10 +264,8 @@ def unpack_packed_columns(packed_rows: Iterable[int], base: int,
     The inverse of the packed closure's head packing
     (``sum(id_i * base**(arity-1-i))``): column ``p`` holds each row's
     digit at position ``p``, in the iteration order of *packed_rows*.
-    Shared by the serial packed closure and the thread-backend packed
-    tasks, so every backend materialises identical column views from
-    the same packed rows.
-    The common low arities take a single-pass comprehension; the
+    The packed closure builds its interned views of the delta and of
+    the naive driver's total with it.  The common low arities take a single-pass comprehension; the
     generic path peels base-``base`` digits.
     """
     if arity == 2:

@@ -13,8 +13,8 @@ bucket keyed by ``()``, so ``lookup(())`` is a full scan.  This is how
 the executor handles a join step with no bound columns.
 
 A :class:`HashIndex` is immutable after construction (its buckets are
-only ever read), so one index may be shared freely across the threads of
-the parallel executor.
+only ever read), so one index may be shared freely across threads (the
+serving layer answers queries on ``asyncio.to_thread`` workers).
 """
 
 from __future__ import annotations

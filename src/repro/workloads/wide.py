@@ -2,8 +2,8 @@
 
 The paper's canonical scenarios are narrow — one or two recursive rules
 over a couple of EDB relations — which is the wrong shape for measuring
-batched execution: with a single rule the only parallelism available is
-intra-rule delta partitioning.  This workload is deliberately *wide*:
+batched execution: with a single rule every iteration is one join.
+This workload is deliberately *wide*:
 
 * ``num_rules`` linear recursive rules over one recursive predicate,
 
@@ -11,8 +11,7 @@ intra-rule delta partitioning.  This workload is deliberately *wide*:
 
   Every rule owns a private ``link<i>``/``mark<i>`` EDB pair, so rule
   applications touch pairwise disjoint EDB relations and share only the
-  per-iteration delta, which the parallel backends additionally
-  partition by row — several partitionable plans per delta part.
+  per-iteration delta.
 * The ``link<i>`` relations are a random deal of the edges of one
   layered DAG, so the fixpoint still converges in about ``layers``
   iterations and the union semantics stay those of plain reachability

@@ -94,58 +94,6 @@ class TestUpdate:
         assert json.loads(baseline.read_text())["results"][0]["size"] == 1
 
 
-class TestSpeedupFloors:
-    """The multi-core speedup floors (--speedup-floor FIELD:MIN).
-
-    Enforcement detects the machine through ``os.cpu_count()`` *and*
-    the report's recorded ``cpu_count``; a floor is only a hard gate
-    when both sides really had at least two CPUs.
-    """
-
-    def _floor_run(self, tmp_path, monkeypatch, *, machine_cpus,
-                   report_cpus, speedup, floor="tc_speedup:1.05"):
-        monkeypatch.setattr(check_bench_regression.os, "cpu_count",
-                            lambda: machine_cpus)
-        results = [{"size": 64, "alpha_seconds": 1.0, "tc_speedup": speedup}]
-        baseline = _write_report(tmp_path / "baseline.json", results)
-        current = tmp_path / "current.json"
-        current.write_text(json.dumps({
-            "benchmark": "test", "cpu_count": report_cpus, "results": results,
-        }))
-        return check_bench_regression.main([
-            "--baseline", str(baseline), "--current", str(current),
-            "--speedup-floor", floor,
-        ])
-
-    def test_floor_enforced_on_multicore(self, tmp_path, monkeypatch):
-        assert self._floor_run(tmp_path, monkeypatch, machine_cpus=4,
-                               report_cpus=4, speedup=1.3) == 0
-
-    def test_floor_failure_on_multicore(self, tmp_path, monkeypatch):
-        assert self._floor_run(tmp_path, monkeypatch, machine_cpus=4,
-                               report_cpus=4, speedup=0.9) == 1
-
-    def test_floor_skipped_on_single_cpu_machine(self, tmp_path, monkeypatch):
-        assert self._floor_run(tmp_path, monkeypatch, machine_cpus=1,
-                               report_cpus=4, speedup=0.5) == 0
-
-    def test_floor_skipped_when_report_recorded_one_cpu(self, tmp_path,
-                                                        monkeypatch):
-        assert self._floor_run(tmp_path, monkeypatch, machine_cpus=4,
-                               report_cpus=1, speedup=0.5) == 0
-
-    def test_missing_floor_field_fails_regardless_of_cpus(self, tmp_path,
-                                                          monkeypatch):
-        assert self._floor_run(tmp_path, monkeypatch, machine_cpus=1,
-                               report_cpus=1, speedup=2.0,
-                               floor="absent_speedup:1.0") == 1
-
-    def test_malformed_floor_spec_rejected(self, tmp_path, monkeypatch):
-        with pytest.raises(SystemExit):
-            self._floor_run(tmp_path, monkeypatch, machine_cpus=4,
-                            report_cpus=4, speedup=1.0, floor="no-minimum")
-
-
 class TestLoadValidation:
     def test_report_without_results_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -48,15 +48,30 @@ def knob_column(text: str) -> set[str]:
     return knobs
 
 
+def table_after(text: str, marker: str) -> str:
+    """The first markdown table after the line starting with *marker*."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(marker))
+    table = []
+    for line in lines[start + 1:]:
+        if line.startswith("|"):
+            table.append(line)
+        elif table:
+            break
+    return "\n".join(table)
+
+
 class TestKnobTables:
     def test_every_evalconfig_field_is_documented(self):
-        documented = knob_column(ENGINE_README)
+        """Two-sided: no field without a row, no row without a field."""
+        documented = knob_column(
+            table_after(ENGINE_README, "Knobs (all on `EvalConfig`)"))
         fields = {field.name for field in dataclasses.fields(EvalConfig)}
-        missing = fields - documented
-        assert not missing, (
-            f"EvalConfig fields missing from the engine README knob "
-            f"table: {sorted(missing)}"
-        )
+        assert fields - documented == set(), (
+            "EvalConfig fields missing from the engine README knob table")
+        assert documented - fields == set(), (
+            "engine README knob-table rows that name no EvalConfig field")
 
     def test_every_serving_knob_is_documented(self):
         documented = knob_column(ENGINE_README)

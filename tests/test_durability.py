@@ -488,7 +488,9 @@ class TestDurableConfig:
 
     def test_spec_roundtrip(self):
         spec = "interned-threads-durable"
-        assert EvalConfig.from_spec(spec).spec() == spec
+        canonical = EvalConfig.from_spec(spec).spec()
+        assert canonical == "interned-serial-durable"
+        assert EvalConfig.from_spec(canonical).spec() == canonical
 
     def test_durable_requires_maintain(self):
         with pytest.raises(ValueError, match="requires maintain"):

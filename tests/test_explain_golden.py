@@ -60,7 +60,7 @@ class TestCompiledRuleExplain:
             int-scan path(Z, Y) key=() cols=['s0<-0', 's1<-1'] (array'q')
             int-probe edge(X, Z) key=(1,) payload=(0,) carry=[1] fused-pack path(X, Y) (K-base packed ints)
             collapse packed ints -> (row, count) pairs; decode via Domain
-            packed-closure specialization: grouped-binary (delta grouped by join key; selected on every backend)
+            packed-closure specialization: grouped-binary (delta grouped by join key)
         """)
 
 

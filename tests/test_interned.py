@@ -43,7 +43,7 @@ def interned_config(backend: str = "serial") -> EvalConfig:
     if backend == "serial":
         return EvalConfig(executor="batch", intern=True)
     return EvalConfig(executor="batch", intern=True, backend=backend,
-                      max_workers=2, partitions=3)
+                      max_workers=2)
 
 
 def run_seminaive(scenario: str, config: EvalConfig | None):

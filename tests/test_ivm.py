@@ -244,8 +244,8 @@ class TestMaintainConfig:
     def test_from_spec_maintain_token(self):
         config = EvalConfig.from_spec("interned-processes-maintain")
         assert config.maintain and config.intern
-        assert config.backend == "processes"
-        assert config.spec() == "interned-processes-maintain"
+        assert config.backend == "serial"
+        assert config.spec() == "interned-serial-maintain"
 
     def test_from_spec_maintain_alone(self):
         config = EvalConfig.from_spec("maintain")

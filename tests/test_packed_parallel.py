@@ -1,13 +1,13 @@
-"""Tests for the packed-id closure on the parallel backends.
+"""Tests for the packed-id closure.
 
-The serial packed closure is bit-identical to the value-space
-executors; this suite holds the thread backend (striped shared sink)
-— and ``processes``, its accepted spelling — to the same bar:
-identical result relations, identical derivation/duplicate statistics,
-and identical low-level join counters, across every backend, on the
-grouped binary, grouped chain (3-atom, binary and 5-ary heads) and
-generic interned shapes — plus byte-identical 3-run determinism and
-errors that reach the caller unchanged.
+The packed closure is bit-identical to the value-space executors:
+identical result relations, identical derivation/duplicate statistics
+and identical low-level join counters under every backend spelling
+(``threads`` and ``processes`` mean ``serial``), on the grouped
+binary, grouped chain (3-atom, binary and 5-ary heads) and generic
+interned shapes — plus Theorem 3.1's partition independence on a
+hand-split delta, byte-identical 3-run determinism and errors that
+reach the caller unchanged.
 """
 
 from __future__ import annotations
@@ -21,12 +21,8 @@ import pytest
 from repro.datalog.parser import parse_rule
 from repro.engine.decomposed import pairwise_decomposed_closure
 from repro.engine.naive import naive_closure
-from repro.engine.parallel import (
-    EvalConfig,
-    PackedClosure,
-    ParallelEvaluator,
-    StripedPackedSink,
-)
+from repro.engine import parallel
+from repro.engine.parallel import EvalConfig, Evaluator
 from repro.engine.plan import compile_rule
 from repro.engine.seminaive import seminaive_closure
 from repro.engine.statistics import EvaluationStatistics
@@ -45,12 +41,10 @@ PARALLEL_BACKENDS = ["threads", "processes"]
 BACKENDS = ["serial"] + PARALLEL_BACKENDS
 
 
-def packed_config(backend: str, **kwargs) -> EvalConfig:
-    """An interned config that actually partitions on this 1-CPU box."""
-    extra = {}
-    if backend != "serial":
-        extra = {"max_workers": 2, "partitions": 3, "min_partition_rows": 2}
-    extra.update(kwargs)
+def packed_config(backend: str) -> EvalConfig:
+    """An interned config under *backend*, spelled as the benchmark
+    harness spells the non-serial ones."""
+    extra = {} if backend == "serial" else {"max_workers": 2}
     return EvalConfig(executor="batch", intern=True, backend=backend,
                       **extra)
 
@@ -88,7 +82,9 @@ def scenario_same_generation():
     rng = random.Random(5)
     up = layered_dag_edges(4, 6, fanout=2, name="up", rng=rng)
     down = Relation.of("down", 2, [(b, a) for a, b in up.rows])
-    initial = Relation.of("sg", 2, [(i, i) for i in range(6)])
+    # Seeded on the last layer (ids 18..23): up(X, U) needs U to have
+    # a parent, so a first-layer seed derives nothing.
+    initial = Relation.of("sg", 2, [(i, i) for i in range(18, 24)])
     return rules, Database.of(up, down), initial
 
 
@@ -179,12 +175,12 @@ class TestPackedParity:
         assert full_signature(statistics) == full_signature(reference_stats)
 
     def test_all_solo_plans_stay_in_process(self):
-        """No splittable plan → no farming out, but results unchanged.
+        """A rule scanning the recursive predicate twice agrees with rows.
 
-        A rule scanning the recursive predicate twice cannot be
-        row-partitioned; with nothing to split, shipping whole deltas
-        to a lone worker task is pure overhead, so the closure must
-        stay on the in-process path — and still agree with serial.
+        Such a rule cannot be row-partitioned (a derivation consumes two
+        delta-or-total rows), so it is the one shape the split test
+        below leaves out; the packed closure must still agree with the
+        rows executor on it, counters included.
         """
         rules = (parse_rule("p(X, Y) :- p(X, Z), p(Z, Y)."),)
         initial = Relation.of("p", 2, [(i, i + 1) for i in range(12)])
@@ -194,50 +190,82 @@ class TestPackedParity:
                                       reference_stats)
         plans = [compile_rule(rule, database) for rule in rules]
         statistics = EvaluationStatistics()
-        with ParallelEvaluator(plans, database,
-                               packed_config("processes")) as evaluator:
-            packed = evaluator.packed_closure(initial)
-            assert packed is not None
-            assert not packed._any_splittable
-            assert not packed._parallel_ready(len(initial))
-            while packed.delta_size():
-                statistics.iterations += 1
-                packed.step_seminaive(statistics)
-            relation = packed.freeze()
-            statistics.result_size = len(relation)
+        evaluator = Evaluator(plans, database, packed_config("processes"))
+        packed = evaluator.packed_closure(initial)
+        assert packed is not None
+        while packed.delta_size():
+            statistics.iterations += 1
+            packed.step_seminaive(statistics)
+        relation = packed.freeze()
+        statistics.result_size = len(relation)
         assert relation.rows == reference.rows
         assert full_signature(statistics) == full_signature(reference_stats)
 
     def test_task_error_propagates_unchanged(self, monkeypatch):
-        """A raising threads task reaches the caller on its first attempt.
+        """A raising rule application reaches the caller on its first attempt.
 
-        Its original type, each task run at most once, no retry, no
-        degradation and no backoff sleep: nothing stands between a task
-        and the caller.
+        Its original type, run once, no retry, no degradation and no
+        backoff sleep: nothing stands between a plan and the caller.
         """
         attempts = []
 
-        def failing_task(closure, rows, *rest):
-            attempts.append(id(rows))
-            raise ZeroDivisionError("task body")
+        def failing_plan(plan, *rest):
+            attempts.append(plan)
+            raise ZeroDivisionError("plan body")
 
         def no_sleep(seconds):
             raise AssertionError(f"slept {seconds}s")
 
-        monkeypatch.setattr(PackedClosure, "_packed_thread_task",
-                            failing_task)
+        # Same-generation runs the generic interned pipeline.
+        monkeypatch.setattr(parallel, "execute_interned_into", failing_plan)
         monkeypatch.setattr(time, "sleep", no_sleep)
-        rules, database, initial = scenario_layered_tc()
+        rules, database, initial = scenario_same_generation()
         statistics = EvaluationStatistics()
-        with pytest.raises(ZeroDivisionError, match="task body"):
+        with pytest.raises(ZeroDivisionError, match="plan body"):
             seminaive_closure(rules, initial, database, statistics,
                               config=packed_config("threads"))
-        assert attempts
-        assert len(attempts) == len(set(attempts))
+        assert len(attempts) == 1
         health = statistics.health
         assert health.task_retries == health.iteration_retries == 0
         assert health.degradations == []
-        assert health.backend == "threads"
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_split_delta_merges_to_whole_delta(self, scenario):
+        """Theorem 3.1's partition independence, on a hand-split delta.
+
+        A plan that scans the recursive predicate once consumes exactly
+        one delta row per derivation, so over any split of a delta the
+        parts' emission totals sum, and their distinct packed sets
+        union, to the whole delta's: the schedule of an iteration can
+        never move its counts.
+        """
+        rules, database, initial = SCENARIOS[scenario]()
+        name = initial.name
+        plans = [
+            compile_rule(rule, database) for rule in rules
+            if sum(atom.predicate.name == name for atom in rule.body) == 1
+        ]
+        assert plans
+        packed = Evaluator(plans, database,
+                           packed_config("serial")).packed_closure(initial)
+        statistics = EvaluationStatistics()
+        # The first iteration's delta: the initial relation, packed.
+        delta = set(packed._delta_packed)
+        whole_total, whole_distinct = packed._run(delta, len(delta), False,
+                                                  statistics)
+        assert whole_total > 0
+        for k in (2, 3):
+            parts = [{row for row in delta if row % k == r} for r in range(k)]
+            assert all(parts)
+            total = 0
+            distinct: set[int] = set()
+            for part in parts:
+                part_total, part_distinct = packed._run(
+                    part, len(part), False, statistics)
+                total += part_total
+                distinct |= part_distinct
+            assert total == whole_total
+            assert distinct == whole_distinct
 
 
 # ----------------------------------------------------------------------
@@ -309,34 +337,3 @@ class TestGroupedSpecialisations:
         )
         assert relation.rows == reference.rows
         assert full_signature(statistics) == full_signature(reference_stats)
-
-
-# ----------------------------------------------------------------------
-# The striped thread sink
-# ----------------------------------------------------------------------
-
-
-class TestStripedPackedSink:
-    def test_drain_is_union(self):
-        sink = StripedPackedSink(4)
-        sink.merge({1, 5, 9, 12})
-        sink.merge({5, 13, 2})
-        assert sink.drain() == {1, 2, 5, 9, 12, 13}
-
-    def test_single_stripe(self):
-        sink = StripedPackedSink(1)
-        sink.merge({7, 8})
-        sink.merge({8, 9})
-        assert sink.drain() == {7, 8, 9}
-
-    def test_concurrent_merges(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        sink = StripedPackedSink(4)
-        chunks = [set(range(i, 4000, 7)) for i in range(7)]
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(pool.map(sink.merge, chunks))
-        expected = set()
-        for chunk in chunks:
-            expected |= chunk
-        assert sink.drain() == expected

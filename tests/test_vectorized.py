@@ -328,12 +328,11 @@ class TestEvalConfigExecutor:
         assert config.executor == "rows"
         assert config.backend == "serial"
         assert not config.batched()
-        assert not config.is_parallel()
 
     def test_batch_executor_accepted(self):
         config = EvalConfig(executor="batch")
         assert config.batched()
-        assert not config.is_parallel()
+        assert config.backend == "serial"
 
     def test_unknown_executor_and_backend_rejected(self):
         with pytest.raises(ValueError):
